@@ -16,6 +16,7 @@ repaired one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -213,8 +214,18 @@ def connection_probability(
     return _as_series_probability(raw)
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=8)
 def _triangle_indices(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All (d, u, s) with 0 <= s <= u <= d <= depth, flattened."""
+    """All (d, u, s) with 0 <= s <= u <= d <= depth, flattened.
+
+    Cached per depth and shared between calls, so the arrays are read-only.
+    """
     d_i, u_i, s_i = [], [], []
     for d in range(depth + 1):
         for u in range(d + 1):
@@ -222,13 +233,17 @@ def _triangle_indices(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 d_i.append(d)
                 u_i.append(u)
                 s_i.append(s)
-    return np.array(d_i), np.array(u_i), np.array(s_i)
+    return _read_only(np.array(d_i), np.array(u_i), np.array(s_i))
 
 
+@functools.lru_cache(maxsize=8)
 def _pyramid_indices(
     depth: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """All (d, u, r, s) with u <= d <= depth, r <= u, s <= u - r, flattened."""
+    """All (d, u, r, s) with u <= d <= depth, r <= u, s <= u - r, flattened.
+
+    Cached per depth and shared between calls, so the arrays are read-only.
+    """
     d_i, u_i, r_i, s_i = [], [], [], []
     for d in range(depth + 1):
         for u in range(d + 1):
@@ -238,7 +253,7 @@ def _pyramid_indices(
                     u_i.append(u)
                     r_i.append(r)
                     s_i.append(s)
-    return np.array(d_i), np.array(u_i), np.array(r_i), np.array(s_i)
+    return _read_only(np.array(d_i), np.array(u_i), np.array(r_i), np.array(s_i))
 
 
 def _log_f11_table(max_r: int, x: float) -> np.ndarray:

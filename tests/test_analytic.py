@@ -389,6 +389,16 @@ def test_clamp_residue_zero_on_reference_grid():
                 assert 0.0 <= got.raw <= 1.0
 
 
+@pytest.mark.parametrize("build", [an._triangle_indices, an._pyramid_indices])
+def test_index_sets_cached_read_only(build):
+    first = build(6)
+    again = build(6)
+    assert all(a is b for a, b in zip(first, again))
+    for column in first:
+        with pytest.raises(ValueError):
+            column[0] = 1
+
+
 # ---------------------------------------------------------------------------
 # mean phase-1 eavesdropper SINR
 

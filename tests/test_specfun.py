@@ -9,6 +9,7 @@ that grow with the mass location of the summed terms.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -238,6 +239,26 @@ def test_marcum_exact_overflow_guard():
         sf.marcum_q1(60.0, 1.0)
 
 
+def test_marcum_exact_grid_terminates_quickly():
+    # the Poisson mass settles at 0.9999999999999998 for a = 4, which once
+    # left the loop running to its 100 000-term cap (about 9 s over this grid)
+    grid_a = list(np.linspace(0.0, 4.0, 9)) + [math.sqrt(2.0 * h) for h in (50.0, 200.0, 600.0)]
+    grid_b = np.linspace(0.0, 6.0, 13)
+    start = time.perf_counter()
+    values = [sf.marcum_q1(float(a), float(b)) for a in grid_a for b in grid_b]
+    assert time.perf_counter() - start < 1.0
+    assert all(0.0 <= v <= 1.0 for v in values)
+
+
+def test_marcum_at_stalling_argument_matches_reference():
+    # Q1(a, b) is the survival function of a noncentral chi-square with
+    # 2 dof and noncentrality a^2, evaluated at b^2
+    stats = pytest.importorskip("scipy.stats")
+    for b in np.linspace(0.0, 6.0, 13):
+        want = float(stats.ncx2.sf(b * b, 2, 16.0))
+        assert sf.marcum_q1(4.0, float(b)) == pytest.approx(want, rel=1e-13, abs=1e-15)
+
+
 def test_marcum_truncated_envelope():
     # measured over a in [0,4], b in [0,6]: monotone in D, 0.248 max at D=25
     grid_a = np.linspace(0.0, 4.0, 9)
@@ -251,6 +272,30 @@ def test_marcum_truncated_envelope():
         )
     assert worst[5] > worst[10] > worst[25]
     assert 0.2 < worst[25] < 0.3
+
+
+def test_marcum_truncated_matches_term_by_term_loop():
+    # the finite double series is summed as one array in the loop's d-major
+    # order with the same arithmetic, so every value keeps its bits
+    def loop(a, b, order):
+        t = sf.lgamma_int(2 * order + 2)
+        log_terms = []
+        for d in range(1 if a == 0.0 else order + 1):
+            w_d = t[order + d] + (1 - 2 * d) * math.log(order) - t[order - d + 1] - t[d + 1]
+            for u in range(1 if b == 0.0 else d + 1):
+                lt = w_d - t[u + 1] - (d + u) * sf.LN2 - 0.5 * (a * a + b * b)
+                if d:
+                    lt += 2.0 * d * math.log(a)
+                if u:
+                    lt += 2.0 * u * math.log(b)
+                log_terms.append(lt)
+        return math.exp(sf.logsumexp(log_terms))
+
+    for order in (1, 5, 25):
+        for a in (0.0, 1e-8, 0.5, 4.0, math.sqrt(60.0)):
+            for b in (0.0, 1e-8, 1.5, 6.0, 50.0):
+                got = sf.marcum_q1(a, b, mode="truncated", order=order)
+                assert got == loop(a, b, order)
 
 
 def test_marcum_truncated_deep_order_finite():
@@ -415,6 +460,68 @@ def test_phi_closed_vs_quadrature(i, b):
     closed = sf.phi_log_bracket(i, b)
     quad = sf.phi_log_bracket(i, b, mode="quadrature")
     assert closed == pytest.approx(quad, rel=5e-8)
+
+
+@pytest.mark.parametrize("b", [1.0, 16.0, 137.5, 840.0, 11383.0, 23000.0])
+def test_phi_laguerre_route_matches_oracle(b):
+    mp = pytest.importorskip("mpmath")
+    indices = [0, 1, 2, 3, 5, 8, 13, 21, 30, 40]
+    got = sf._phi_fixed_point(indices, b)
+    for i, value in zip(indices, got):
+        # Phi(i, b) = 2^i integral_0^inf t^i ln(2t + b) exp(-t) dt
+        with mp.workdps(20):
+            want = mp.ldexp(mp.quad(lambda t: t**i * mp.log(2 * t + b) * mp.exp(-t),
+                                    [0, max(i, 1), mp.inf]), i)
+        assert value == pytest.approx(float(want), rel=1e-12)
+
+
+@pytest.mark.parametrize("b", [0.3, 1.0, 2.0, 137.5, 840.0])
+def test_phi_closed_form_matches_term_by_term_loop(b):
+    # the closed form hoists every i-independent factor out of its i-loop;
+    # the arithmetic is unchanged, so each trusted index keeps its bits
+    i_max = 25
+    x_half, log_b = 0.5 * b, math.log(b)
+    t = sf.lgamma_int(i_max + 2)
+    gamma_terms = [sf.log_exp_integral_e1(x_half)]
+    for k in range(1, i_max + 2):
+        gamma_terms.append(sf.log_upper_incomplete_gamma(k, x_half) - t[k + 1])
+    got = sf._phi_eq_log_bracket(i_max, b)
+    for i in range(i_max + 1):
+        log_mag, signs = [], []
+        for j in range(i + 1):
+            log_common = sf.log_binomial(i, j) + (i - j) * log_b + j * sf.LN2
+            sign_binom = 1.0 if (i - j) % 2 == 0 else -1.0
+            log_g = t[j + 1] + sf.logsumexp(gamma_terms[: j + 1])
+            log_mag.append(log_common + log_g)
+            signs.append(sign_binom)
+            if log_b == 0.0:
+                log_mag.append(-math.inf)
+                signs.append(0.0)
+            else:
+                log_mag.append(log_common + math.log(abs(log_b))
+                               + sf.log_upper_incomplete_gamma(j + 1, x_half))
+                signs.append(sign_binom * math.copysign(1.0, log_b))
+        value, sign = sf.signed_logsumexp(log_mag, signs)
+        if max(log_mag) - value <= sf._PHI_MAX_LOST:
+            assert got[i] == sign * math.exp(x_half + value)
+
+
+def test_phi_closed_form_flags_nothing_below_unit_offset():
+    # an index flagged below b = 1 would raise SeriesOverflowError
+    for b in np.geomspace(1e-6, 1.0, 25, endpoint=False):
+        values = sf._phi_eq_log_bracket(60, float(b))
+        assert all(math.isfinite(v) for v in values)
+
+
+def test_phi_flag_below_unit_offset_raises(monkeypatch):
+    # the quadrature route is off by 1.3e-5 at b = 0.1, so a flagged index
+    # there must not fall back to it silently
+    monkeypatch.setattr(sf, "_PHI_MAX_LOST", -1.0)
+    with pytest.raises(sf.SeriesOverflowError):
+        sf._phi_eq_log_bracket(3, 0.5)
+    # at b >= 1 every flagged index takes the quadrature route
+    panel = [sf.phi_log_bracket(i, 2.0, mode="quadrature") for i in range(4)]
+    assert sf._phi_eq_log_bracket(3, 2.0) == pytest.approx(panel, rel=1e-12)
 
 
 def test_log_moment_central_chi_square():

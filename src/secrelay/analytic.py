@@ -25,7 +25,7 @@ import numpy as np
 
 from . import specfun as sf
 from .channel_models import LinkSet
-from .protocol import ProtocolConfig
+from .protocol import ProtocolConfig, require_noise
 
 _NEG_INF = float("-inf")
 
@@ -173,6 +173,7 @@ def connection_probability(
     relay-destination index r, with a modified Bessel K factor joining the
     two links.
     """
+    require_noise(cfg)
     _require_interior_split(cfg)
     delta = cfg.delta_t
     if delta == 0.0:
@@ -220,40 +221,43 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
+def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(parent, rank) for every child when parent i has counts[i] children,
+    parent-major: the flatten order of a nested loop."""
+    parent = np.repeat(np.arange(counts.size), counts)
+    starts = np.cumsum(counts) - counts
+    return parent, np.arange(parent.size) - starts[parent]
+
+
 @functools.lru_cache(maxsize=8)
 def _triangle_indices(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All (d, u, s) with 0 <= s <= u <= d <= depth, flattened.
+    """All (d, u, s) with 0 <= s <= u <= d <= depth, flattened d-major.
 
     Cached per depth and shared between calls, so the arrays are read-only.
     """
-    d_i, u_i, s_i = [], [], []
-    for d in range(depth + 1):
-        for u in range(d + 1):
-            for s in range(u + 1):
-                d_i.append(d)
-                u_i.append(u)
-                s_i.append(s)
-    return _read_only(np.array(d_i), np.array(u_i), np.array(s_i))
+    d_i = np.arange(depth + 1)
+    parent, u_i = _expand(d_i + 1)
+    d_i = d_i[parent]
+    parent, s_i = _expand(u_i + 1)
+    return _read_only(d_i[parent], u_i[parent], s_i)
 
 
 @functools.lru_cache(maxsize=8)
 def _pyramid_indices(
     depth: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """All (d, u, r, s) with u <= d <= depth, r <= u, s <= u - r, flattened.
+    """All (d, u, r, s) with u <= d <= depth, r <= u, s <= u - r, flattened
+    d-major.
 
     Cached per depth and shared between calls, so the arrays are read-only.
     """
-    d_i, u_i, r_i, s_i = [], [], [], []
-    for d in range(depth + 1):
-        for u in range(d + 1):
-            for r in range(u + 1):
-                for s in range(u - r + 1):
-                    d_i.append(d)
-                    u_i.append(u)
-                    r_i.append(r)
-                    s_i.append(s)
-    return _read_only(np.array(d_i), np.array(u_i), np.array(r_i), np.array(s_i))
+    d_i = np.arange(depth + 1)
+    parent, u_i = _expand(d_i + 1)
+    d_i = d_i[parent]
+    parent, r_i = _expand(u_i + 1)
+    d_i, u_i = d_i[parent], u_i[parent]
+    parent, s_i = _expand(u_i - r_i + 1)
+    return _read_only(d_i[parent], u_i[parent], r_i[parent], s_i)
 
 
 def _log_f11_table(max_r: int, x: float) -> np.ndarray:
@@ -338,6 +342,7 @@ def secrecy_outage_probability(
     orders: sf.TruncationOrders = sf.TruncationOrders(),
 ) -> SeriesProbability:
     """1 - L1 L2: the two eavesdropper phases fail independently."""
+    require_noise(cfg)
     l1 = sop_l1(cfg, links)
     l2 = sop_l2(cfg, links, orders)
     return _as_series_probability(1.0 - l1 * l2.raw)
@@ -370,6 +375,7 @@ def asr_lower_bound(
     which changes the result materially (the two disagree by the chi-square
     normalization, and only the corrected form tracks measured log-moments).
     """
+    require_noise(cfg)
     _require_interior_split(cfg)
     if cfg.jamming_power == 0.0:
         raise ValueError("asr_lower_bound needs active jamming (allocation < 1)")

@@ -4,12 +4,18 @@ Frames are partitioned into fixed-size blocks and block i draws from its own
 Philox stream keyed by (seed, i), so gains depend only on the seed and the
 frame's block, never on worker count or scheduling. Partial sums are folded
 in block order, making every estimate bit-reproducible.
+
+Sweeps evaluate many configurations on the same seed (common random
+numbers), so each block's normals are drawn once per process and kept in a
+small bounded cache; later calls on the same (seed, block) read them back.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -17,11 +23,20 @@ import numpy as np
 
 from . import _kernels
 from .channel_models import LINK_IDS, LinkSet, amplitude_params, sample_power_gain
-from .protocol import FrameRealization, ProtocolConfig
+from .protocol import FrameRealization, ProtocolConfig, require_noise
 
 _LN2 = math.log(2.0)
 
 BLOCK_FRAMES = 8192
+
+# Blocks kept by the draw cache: 16 x 8192 frames x 10 normals x 8 bytes is
+# about 10.5 MB, enough for the 13 blocks of the default 100k-frame plan.
+CACHE_BLOCKS = 16
+
+# (seed, block index, length) -> read-only normals of shape (length, 5, 2),
+# least recently used first. The lock guards callers on different threads.
+_cache: OrderedDict[tuple[int, int, int], np.ndarray] = OrderedDict()
+_cache_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -51,6 +66,11 @@ class Estimate:
     seed: int
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.mean) and math.isfinite(self.std_error)):
+            raise ValueError(
+                f"estimate must be finite, got mean={self.mean}, "
+                f"std_error={self.std_error}"
+            )
         if self.std_error < 0:
             raise ValueError(f"std_error must be >= 0, got {self.std_error}")
 
@@ -84,14 +104,66 @@ def _worker_count(plan: SimulationPlan, blocks: int) -> int:
     return max(1, min(8, os.cpu_count() or 1, blocks))
 
 
+def clear_block_cache() -> None:
+    """Drop every cached block; the next estimate draws its normals again."""
+    with _cache_lock:
+        _cache.clear()
+
+
+def _trim(incoming: int) -> None:
+    """Evict least recently used blocks until `incoming` more fit."""
+    while _cache and len(_cache) + incoming > CACHE_BLOCKS:
+        _cache.popitem(last=False)
+
+
+def _draw(key: tuple[int, int, int]) -> np.ndarray:
+    seed, index, length = key
+    z = block_stream(seed, index).standard_normal((length, 5, 2))
+    z.flags.writeable = False
+    return z
+
+
+def _blocks(plan: SimulationPlan, spans) -> list[np.ndarray]:
+    """The normals of each span, drawing only the blocks not cached.
+
+    Missing blocks are drawn on a thread pool; this thread inserts them, so
+    the pool never touches the cache.
+    """
+    keys = [(plan.seed, index, length) for index, length in spans]
+    with _cache_lock:
+        found = {key: _cache[key] for key in keys if key in _cache}
+        for key in found:
+            _cache.move_to_end(key)
+        missing = [key for key in keys if key not in found]
+        # evict before drawing, so old and new blocks never exceed the bound
+        _trim(len(missing))
+    if missing:
+        workers = _worker_count(plan, len(missing))
+        if workers == 1 or len(missing) == 1:
+            drawn = [_draw(key) for key in missing]
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                drawn = list(pool.map(_draw, missing))
+        found.update(zip(missing, drawn))
+        with _cache_lock:
+            _cache.update(zip(missing, drawn))
+            _trim(0)
+    return [found[key] for key in keys]
+
+
 def _collect(plan: SimulationPlan, per_block):
-    """Run per_block(index, length) for all blocks, results in block order."""
+    """Run per_block(z) on each block's normals, results in block order.
+
+    Blocks are evaluated on the calling thread. Plans longer than the cache
+    go in chunks of CACHE_BLOCKS, so no block is drawn twice per call and
+    memory stays bounded.
+    """
     spans = _spans(plan.frames)
-    workers = _worker_count(plan, len(spans))
-    if workers == 1 or len(spans) == 1:
-        return [per_block(i, n) for i, n in spans]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda span: per_block(*span), spans))
+    results = []
+    for start in range(0, len(spans), CACHE_BLOCKS):
+        chunk = spans[start:start + CACHE_BLOCKS]
+        results += [per_block(z) for z in _blocks(plan, chunk)]
+    return results
 
 
 def _link_arrays(links: LinkSet):
@@ -104,9 +176,8 @@ def _link_arrays(links: LinkSet):
     return mu, sigma, loss
 
 
-def _block_metrics(cfg: ProtocolConfig, arrays, seed: int, index: int, length: int):
+def _block_metrics(cfg: ProtocolConfig, arrays, z: np.ndarray):
     mu, sigma, loss = arrays
-    z = block_stream(seed, index).standard_normal((length, 5, 2))
     return _kernels.frame_metrics(
         z, mu, sigma, loss,
         cfg.source_power, cfg.jamming_power, cfg.harvester_efficiency,
@@ -134,11 +205,12 @@ def _moment_estimate(plan: SimulationPlan, total: float, total_sq: float) -> Est
 def estimate_cp(cfg: ProtocolConfig, links: LinkSet, plan: SimulationPlan) -> Estimate:
     """Probability that the destination decodes: fraction of frames with
     main-link SINR above the transmission threshold."""
+    require_noise(cfg)
     arrays = _link_arrays(links)
     delta = cfg.delta_t
 
-    def per_block(index, length):
-        gamma_m, _, _ = _block_metrics(cfg, arrays, plan.seed, index, length)
+    def per_block(z):
+        gamma_m, _, _ = _block_metrics(cfg, arrays, z)
         return int(np.count_nonzero(gamma_m > delta))
 
     return _binomial_estimate(plan, sum(_collect(plan, per_block)))
@@ -147,11 +219,12 @@ def estimate_cp(cfg: ProtocolConfig, links: LinkSet, plan: SimulationPlan) -> Es
 def estimate_sop(cfg: ProtocolConfig, links: LinkSet, plan: SimulationPlan) -> Estimate:
     """Probability of a secrecy outage: fraction of frames where the better of
     the eavesdropper's two SINRs clears the secrecy threshold."""
+    require_noise(cfg)
     arrays = _link_arrays(links)
     delta = cfg.delta_e
 
-    def per_block(index, length):
-        _, gamma_1, gamma_2 = _block_metrics(cfg, arrays, plan.seed, index, length)
+    def per_block(z):
+        _, gamma_1, gamma_2 = _block_metrics(cfg, arrays, z)
         return int(np.count_nonzero(np.maximum(gamma_1, gamma_2) > delta))
 
     return _binomial_estimate(plan, sum(_collect(plan, per_block)))
@@ -159,10 +232,11 @@ def estimate_sop(cfg: ProtocolConfig, links: LinkSet, plan: SimulationPlan) -> E
 
 def estimate_asr(cfg: ProtocolConfig, links: LinkSet, plan: SimulationPlan) -> Estimate:
     """Average secrecy rate: mean clamped capacity gap in bits/s/Hz."""
+    require_noise(cfg)
     arrays = _link_arrays(links)
 
-    def per_block(index, length):
-        gamma_m, gamma_1, gamma_2 = _block_metrics(cfg, arrays, plan.seed, index, length)
+    def per_block(z):
+        gamma_m, gamma_1, gamma_2 = _block_metrics(cfg, arrays, z)
         gamma_e = np.maximum(gamma_1, gamma_2)
         rate = np.maximum(
             0.5 * np.log1p(gamma_m) / _LN2 - 0.5 * np.log1p(gamma_e) / _LN2, 0.0
@@ -183,12 +257,12 @@ def estimate_functional(
     """Mean of an arbitrary frame functional over the same gain stream the
     metric estimators consume. The functional receives a FrameRealization
     whose fields are length-n arrays and must return n real values."""
+    require_noise(cfg)
     mu, sigma, loss = _link_arrays(links)
 
-    def per_block(index, length):
-        z = block_stream(plan.seed, index).standard_normal((length, 5, 2))
-        amp = mu + sigma * z[:, :, 0]
-        gains = amp * amp + (sigma * z[:, :, 1]) ** 2
+    def per_block(z):
+        length = len(z)
+        gains = _kernels._gains_numpy(z, mu, sigma)
         frame = FrameRealization(**{
             f"s_{name}": gains[:, j] for j, name in enumerate(LINK_IDS)
         })

@@ -92,6 +92,18 @@ class ProtocolConfig:
         return 2.0 ** (2.0 * (self.rate_t - self.rate_s)) - 1.0
 
 
+def require_noise(cfg: ProtocolConfig) -> None:
+    """Reject the noise-free limit at a metric's entry point.
+
+    ProtocolConfig accepts noise_power = 0 for noise-free identities, but
+    every metric divides by the noise power somewhere.
+    """
+    if not cfg.noise_power > 0:
+        raise ValueError(
+            f"noise_power must be > 0 to evaluate a metric, got {cfg.noise_power}"
+        )
+
+
 @dataclass(frozen=True)
 class FrameRealization:
     """Small-scale power gains of one frame (or an array batch of frames).

@@ -360,7 +360,17 @@ def _marcum_q1_exact(a: float, b):
         raise SeriesOverflowError(
             f"marcum_q1 exact mode underflows for a^2/2 = {ha:.3g} > 700"
         )
-    hy = 0.5 * y * y
+    with np.errstate(over="ignore"):
+        hy = 0.5 * y * y
+    # past b ~ 1.3e154, b^2/2 overflows and Q1 is 0 to double precision
+    near = ~np.isinf(hy)
+    q = np.zeros_like(y)
+    if np.any(near):
+        q[near] = _poisson_mixture(ha, hy[near])
+    return float(q[0]) if scalar else q
+
+
+def _poisson_mixture(ha: float, hy: np.ndarray) -> np.ndarray:
     # t = Poisson pmf of N_b at k, g = its CDF; p = Poisson pmf of N_a at k.
     t = np.exp(-hy)
     g = t.copy()
@@ -383,8 +393,7 @@ def _marcum_q1_exact(a: float, b):
             break
     # remaining Poisson mass multiplies CDF values <= 1; cum_p itself can
     # round a few ulp past 1, which must not drag q below 0
-    q = np.minimum(q + max(1.0 - cum_p, 0.0), 1.0)
-    return float(q[0]) if scalar else q
+    return np.minimum(q + max(1.0 - cum_p, 0.0), 1.0)
 
 
 def _marcum_q1_truncated(a: float, b: float, order: int) -> float:

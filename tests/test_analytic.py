@@ -399,6 +399,37 @@ def test_index_sets_cached_read_only(build):
             column[0] = 1
 
 
+def _triangle_loop(depth):
+    rows = [(d, u, s) for d in range(depth + 1) for u in range(d + 1)
+            for s in range(u + 1)]
+    return tuple(np.array(col) for col in zip(*rows))
+
+
+def _pyramid_loop(depth):
+    rows = [(d, u, r, s) for d in range(depth + 1) for u in range(d + 1)
+            for r in range(u + 1) for s in range(u - r + 1)]
+    return tuple(np.array(col) for col in zip(*rows))
+
+
+@pytest.mark.parametrize("build, loop", [(an._triangle_indices, _triangle_loop),
+                                         (an._pyramid_indices, _pyramid_loop)])
+def test_index_sets_match_nested_loops(build, loop):
+    for depth in [*range(13), 40]:
+        for got, want in zip(build(depth), loop(depth), strict=True):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("metric", [an.connection_probability,
+                                    an.secrecy_outage_probability,
+                                    an.asr_lower_bound])
+def test_series_metrics_reject_zero_noise(metric):
+    # once a Bessel K domain error and a ZeroDivisionError from deep inside
+    cfg = pr.ProtocolConfig(total_power=100.0, noise_power=0.0)
+    with pytest.raises(ValueError, match="noise_power"):
+        metric(cfg, LINKS)
+
+
 # ---------------------------------------------------------------------------
 # mean phase-1 eavesdropper SINR
 

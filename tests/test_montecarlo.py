@@ -1,11 +1,16 @@
 """Monte Carlo engine: determinism, cross-route agreement, convergence."""
 
+import sys
+import threading
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from secrelay import channel_models as cm
 from secrelay import geometry as geo
 from secrelay import montecarlo as mc
+from secrelay import optimize as opt
 from secrelay import protocol as pr
 from secrelay._kernels import BACKEND_ENV, HAS_NUMBA
 
@@ -65,6 +70,25 @@ def test_plan_validation():
 def test_estimate_validation():
     with pytest.raises(ValueError):
         mc.Estimate(mean=0.5, std_error=-1e-3, frames=10, seed=0)
+    for mean, std_error in ((np.inf, 0.1), (np.nan, 0.1), (0.5, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            mc.Estimate(mean=mean, std_error=std_error, frames=10, seed=0)
+
+
+@pytest.mark.parametrize("estimator", [mc.estimate_cp, mc.estimate_sop,
+                                       mc.estimate_asr])
+def test_estimators_reject_zero_noise(estimator):
+    # estimate_asr once returned mean=inf, std_error=nan here
+    cfg = pr.ProtocolConfig(total_power=100.0, noise_power=0.0)
+    with pytest.raises(ValueError, match="noise_power"):
+        estimator(cfg, LINKS, mc.SimulationPlan(frames=100, seed=0))
+
+
+def test_functional_rejects_zero_noise():
+    cfg = pr.ProtocolConfig(total_power=100.0, noise_power=0.0)
+    with pytest.raises(ValueError, match="noise_power"):
+        mc.estimate_functional(cfg, LINKS, mc.SimulationPlan(frames=100, seed=0),
+                               lambda frame: np.ones_like(frame.s_au))
 
 
 def test_block_stream_reproducible_and_distinct():
@@ -95,12 +119,15 @@ def test_frozen_estimates():
 
 
 def test_worker_count_does_not_change_results():
-    plans = [mc.SimulationPlan(frames=30_000, seed=9, workers=w) for w in (1, 4)]
-    results = [(mc.estimate_cp(CFG, LINKS, p), mc.estimate_asr(CFG, LINKS, p))
-               for p in plans]
-    for one, four in zip(*results):
-        assert one.mean == four.mean
-        assert one.std_error == four.std_error
+    results = []
+    for workers in (1, 2, 4):
+        # each worker count draws its own blocks, not the previous one's
+        mc.clear_block_cache()
+        p = mc.SimulationPlan(frames=30_000, seed=9, workers=workers)
+        results.append((
+            mc.estimate_cp(CFG, LINKS, p), mc.estimate_asr(CFG, LINKS, p),
+            mc.estimate_functional(CFG, LINKS, p, lambda f: f.s_au)))
+    assert results[0] == results[1] == results[2]
 
 
 @pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
@@ -284,3 +311,90 @@ def test_rmse_shrinks_with_sample_size():
         rmse.append(float(np.sqrt(np.mean(np.square(errs)))))
     assert rmse[0] > rmse[1] > rmse[2]
     assert rmse[0] / rmse[2] > 3.0
+
+
+# ---------------------------------------------------------------------------
+# block cache: each (seed, block) is drawn once per process
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """Count block_stream calls per (seed, index), starting from no cache."""
+    mc.clear_block_cache()
+    counts = Counter()
+    original = mc.block_stream
+
+    def counting(seed, index):
+        counts[(seed, index)] += 1
+        return original(seed, index)
+
+    monkeypatch.setattr(mc, "block_stream", counting)
+    yield counts
+    mc.clear_block_cache()
+
+
+def test_grid_search_draws_each_block_once(draws):
+    plan = mc.SimulationPlan(frames=2 * mc.BLOCK_FRAMES + 100, seed=41)
+    axis = tuple(np.linspace(0.1, 0.9, 5))
+    opt.grid_search_opsa(CFG, LINKS, plan,
+                         opt.SweepGrid(allocation_grid=axis, split_grid=axis))
+    assert draws == {(41, i): 1 for i in range(3)}
+
+
+def test_placement_sweep_draws_each_block_once(draws):
+    plan = mc.SimulationPlan(frames=mc.BLOCK_FRAMES + 100, seed=42)
+    grid = opt.SweepGrid(allocation_grid=(0.3, 0.6, 0.9),
+                         distance_grid=(0.2, 0.5, 0.8))
+    opt.placement_sweep(CFG, GEOM, plan, "horizontal", grid)
+    assert draws == {(42, 0): 1, (42, 1): 1}
+
+
+def test_plan_longer_than_cache_draws_each_block_once_per_call(draws):
+    blocks = mc.CACHE_BLOCKS + 1
+    plan = mc.SimulationPlan(frames=blocks * mc.BLOCK_FRAMES, seed=43)
+    first = mc.estimate_asr(CFG, LINKS, plan)
+    assert draws == {(43, i): 1 for i in range(blocks)}
+    assert len(mc._cache) <= mc.CACHE_BLOCKS
+    draws.clear()
+    again = mc.estimate_asr(CFG, LINKS, plan)
+    assert set(draws.values()) <= {1}
+    mc.clear_block_cache()
+    fresh = mc.estimate_asr(CFG, LINKS, plan)
+    assert first == again == fresh
+
+
+def test_cached_blocks_are_read_only(draws):
+    mc.estimate_cp(CFG, LINKS, mc.SimulationPlan(frames=3_000, seed=44))
+    (z,) = mc._cache.values()
+    with pytest.raises(ValueError):
+        z[0, 0, 0] = 0.0
+
+
+def test_concurrent_callers_share_the_cache():
+    # more callers than cores and more blocks than the cache holds, with
+    # frequent thread switches, so lookups, inserts and evictions interleave
+    plans = [mc.SimulationPlan(frames=2 * mc.BLOCK_FRAMES + 1, seed=s)
+             for s in range(50, 56)]
+    mc.clear_block_cache()
+    want = [mc.estimate_asr(CFG, LINKS, p) for p in plans]
+    got = [None] * len(plans)
+
+    def run(k):
+        for _ in range(3):
+            got[k] = mc.estimate_asr(CFG, LINKS, plans[k])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,))
+                   for k in range(len(plans))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
+    assert len(mc._cache) <= mc.CACHE_BLOCKS
+    mc.clear_block_cache()

@@ -10,6 +10,7 @@ that grow with the mass location of the summed terms.
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -219,6 +220,24 @@ def test_marcum_vector_argument():
     vec = sf.marcum_q1(1.5, b)
     for bb, v in zip(b, vec):
         assert v == pytest.approx(sf.marcum_q1(1.5, float(bb)), rel=1e-13)
+
+
+def test_marcum_beyond_squarable_b_is_zero():
+    # b^2/2 overflows past b ~ 1.3e154; the Poisson loop then made 0 * inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sf.marcum_q1(1.0, 1e160) == 0.0
+        assert sf.marcum_q1(1.0, math.inf) == 0.0
+
+
+def test_marcum_mixed_vector_with_unsquarable_b():
+    b = np.array([0.7, 1e160, 2.2, math.inf, 9.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vec = sf.marcum_q1(1.5, b)
+    near = np.array([0.7, 2.2, 9.0])
+    np.testing.assert_array_equal(vec[[0, 2, 4]], sf.marcum_q1(1.5, near))
+    assert vec[1] == 0.0 and vec[3] == 0.0
 
 
 @settings(max_examples=60, deadline=None)

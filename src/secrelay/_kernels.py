@@ -1,148 +1,34 @@
-"""Per-frame SINR kernels, JIT-compiled when numba is available.
+"""Per-frame Monte Carlo kernel: standard normals to gains to SINRs.
 
-The numpy and numba paths evaluate the same arithmetic chain in the same
-order, mirroring the protocol module term for term, so all three routes agree
-to the last few ulp. SECRELAY_BACKEND=numpy|numba|auto selects the path at
-call time; auto prefers numba and silently falls back when it is missing.
+The SINRs themselves come from protocol.sinrs, the one place they are
+written; this module only turns a block of normals into Rician power gains.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without the jit extra
-    HAS_NUMBA = False
-
-BACKEND_ENV = "SECRELAY_BACKEND"
+from . import protocol as pr
+from .channel_models import LinkSet
 
 
-def active_backend() -> str:
-    """Backend that frame_metrics will use right now."""
-    mode = os.environ.get(BACKEND_ENV, "auto").lower()
-    if mode not in ("auto", "numba", "numpy"):
-        raise ValueError(f"{BACKEND_ENV} must be auto, numba, or numpy, got {mode!r}")
-    if mode == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    if mode == "numba" and not HAS_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    return mode
-
-
-def _gains_numpy(z: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    amp = mu + sigma * z[:, :, 0]
-    return amp * amp + (sigma * z[:, :, 1]) ** 2
-
-
-def _metrics_numpy(z, mu, sigma, loss, p_a, p_b, eta, beta, zeta, n0, residual):
-    s = _gains_numpy(z, mu, sigma)
-    s_au, s_ub, s_ue, s_ae, s_be = (s[:, j] for j in range(5))
-    arr_ub = s_ub * loss[1]
-    arr_ue = s_ue * loss[2]
-    if residual:
-        x_a = p_a * s_au * loss[0]
-        x_b = p_b * s_ub * loss[1]
-        eps = (zeta * n0) * n0 / (x_a + x_b)
-    else:
-        eps = 0.0
-    gamma_m = (
-        eta * beta * (1.0 - beta) * p_a * s_au * loss[0] * arr_ub
-        / (eta * beta * (1.0 - beta + zeta) * arr_ub * n0 + (1.0 - beta) * n0 + eps)
-    )
-    gamma_1 = p_a * s_ae * loss[3] / (p_b * s_be * loss[4] + n0)
-    gamma_2 = (
-        eta * beta * (1.0 - beta) * p_a * s_au * loss[0] * arr_ue
-        / (
-            eta * beta * (1.0 - beta) * p_b * s_ub * loss[1] * arr_ue
-            + (1.0 - beta) * n0
-            + eta * beta * (1.0 - beta + zeta) * arr_ue * n0
-            + eps
-        )
-    )
-    return gamma_m, gamma_1, gamma_2
-
-
-def _metrics_loop(z, mu, sigma, loss, p_a, p_b, eta, beta, zeta, n0, residual,
-                  out_m, out_1, out_2):
-    n = z.shape[0]
-    for i in range(n):
-        a0 = mu[0] + sigma[0] * z[i, 0, 0]
-        b0 = sigma[0] * z[i, 0, 1]
-        s_au = a0 * a0 + b0 ** 2
-        a1 = mu[1] + sigma[1] * z[i, 1, 0]
-        b1 = sigma[1] * z[i, 1, 1]
-        s_ub = a1 * a1 + b1 ** 2
-        a2 = mu[2] + sigma[2] * z[i, 2, 0]
-        b2 = sigma[2] * z[i, 2, 1]
-        s_ue = a2 * a2 + b2 ** 2
-        a3 = mu[3] + sigma[3] * z[i, 3, 0]
-        b3 = sigma[3] * z[i, 3, 1]
-        s_ae = a3 * a3 + b3 ** 2
-        a4 = mu[4] + sigma[4] * z[i, 4, 0]
-        b4 = sigma[4] * z[i, 4, 1]
-        s_be = a4 * a4 + b4 ** 2
-
-        arr_ub = s_ub * loss[1]
-        arr_ue = s_ue * loss[2]
-        if residual:
-            x_a = p_a * s_au * loss[0]
-            x_b = p_b * s_ub * loss[1]
-            eps = (zeta * n0) * n0 / (x_a + x_b)
-        else:
-            eps = 0.0
-        out_m[i] = (
-            eta * beta * (1.0 - beta) * p_a * s_au * loss[0] * arr_ub
-            / (eta * beta * (1.0 - beta + zeta) * arr_ub * n0 + (1.0 - beta) * n0 + eps)
-        )
-        out_1[i] = p_a * s_ae * loss[3] / (p_b * s_be * loss[4] + n0)
-        out_2[i] = (
-            eta * beta * (1.0 - beta) * p_a * s_au * loss[0] * arr_ue
-            / (
-                eta * beta * (1.0 - beta) * p_b * s_ub * loss[1] * arr_ue
-                + (1.0 - beta) * n0
-                + eta * beta * (1.0 - beta + zeta) * arr_ue * n0
-                + eps
-            )
-        )
-
-
-if HAS_NUMBA:
-    _metrics_loop_jit = njit(cache=True, nogil=True)(_metrics_loop)
-
-
-def frame_metrics(z, mu, sigma, loss, p_a, p_b, eta, beta, zeta, n0,
-                  include_residual: bool = False):
-    """Per-frame (gamma_main, gamma_e1, gamma_e2) from standard normals.
+def power_gains(z: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> list:
+    """Per-link power gains, one length-n array per link, from normals.
 
     z has shape (n, 5, 2): one pair of normals per link, links in the fixed
-    (au, ub, ue, ae, be) order; mu, sigma, loss are length-5 per-link arrays.
+    (au, ub, ue, ae, be) order; mu and sigma are the length-5 per-link
+    amplitude parameters. Working one link at a time keeps numpy's inner
+    loops n long, where a broadcast over the (n, 5) plane runs them 5 long.
     """
-    z = np.ascontiguousarray(z, dtype=np.float64)
-    if z.ndim != 3 or z.shape[1:] != (5, 2):
-        raise ValueError(f"z must have shape (n, 5, 2), got {z.shape}")
-    mu = np.ascontiguousarray(mu, dtype=np.float64)
-    sigma = np.ascontiguousarray(sigma, dtype=np.float64)
-    loss = np.ascontiguousarray(loss, dtype=np.float64)
-    if mu.shape != (5,) or sigma.shape != (5,) or loss.shape != (5,):
-        raise ValueError("mu, sigma, loss must each have shape (5,)")
-    if beta == 0.0 or beta == 1.0:
-        # the relayed path carries nothing; only the direct leak survives
-        s = _gains_numpy(z, mu, sigma)
-        zero = np.zeros(z.shape[0])
-        gamma_1 = p_a * s[:, 3] * loss[3] / (p_b * s[:, 4] * loss[4] + n0)
-        return zero, gamma_1, zero.copy()
-    if active_backend() == "numba":
-        n = z.shape[0]
-        out_m = np.empty(n)
-        out_1 = np.empty(n)
-        out_2 = np.empty(n)
-        _metrics_loop_jit(z, mu, sigma, loss, p_a, p_b, eta, beta, zeta, n0,
-                          bool(include_residual), out_m, out_1, out_2)
-        return out_m, out_1, out_2
-    return _metrics_numpy(z, mu, sigma, loss, p_a, p_b, eta, beta, zeta, n0,
-                          bool(include_residual))
+    gains = []
+    for j in range(5):
+        amp = mu[j] + sigma[j] * z[:, j, 0]
+        gains.append(amp * amp + (sigma[j] * z[:, j, 1]) ** 2)
+    return gains
+
+
+def frame_metrics(z: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
+                  cfg: pr.ProtocolConfig, links: LinkSet):
+    """Per-frame (gamma_main, gamma_e1, gamma_e2) from standard normals."""
+    return pr.sinrs(cfg, links, *power_gains(z, mu, sigma),
+                    cfg.source_power, cfg.jamming_power)

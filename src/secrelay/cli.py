@@ -250,9 +250,8 @@ def _sweep_altitude(cfg: ExperimentConfig):
     for split in ALTITUDE_SPLIT_GRID:
         cfg_b = replace(protocol, power_split=split)
         for altitude in grid.altitude_grid:
-            geom_h = replace(geometry, relay=geo.NodePosition(
-                geometry.relay.x, geometry.relay.y, altitude))
-            links_h = cm.build_links(geom_h, cfg.environment)
+            links_h = cm.build_links(geo.move_relay(geometry, altitude=altitude),
+                                     cfg.environment)
             est = mc.estimate_asr(cfg_b, links_h, cfg.plan)
             rows.append([altitude, split, est.mean, est.std_error,
                          cfg.plan.frames, cfg.plan.seed])

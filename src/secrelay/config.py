@@ -80,9 +80,7 @@ class ExperimentConfig:
                 "ground_relay baseline needs distinct source/destination "
                 "ground coordinates"
             )
-        t = along / span
-        return replace(self.geometry, relay=geo.NodePosition(
-            src.x + t * (dst.x - src.x), src.y + t * (dst.y - src.y), 0.0))
+        return geo.move_relay(self.geometry, along=along / span, altitude=0.0)
 
     def effective_protocol(self) -> pr.ProtocolConfig:
         if self.baseline == BASELINE_UAV_NO_CJ:

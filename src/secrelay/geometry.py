@@ -6,7 +6,7 @@ Distances are normalized (1 unit = 100 m). Every function here is pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 _HALF_PI = math.pi / 2.0
 
@@ -67,6 +67,24 @@ class NetworkGeometry:
     destination: NodePosition
     eavesdropper: NodePosition
     relay: NodePosition
+
+
+def move_relay(geometry: NetworkGeometry, along: float | None = None,
+               altitude: float | None = None) -> NetworkGeometry:
+    """The same network with the relay moved; the other nodes stay.
+
+    along puts the relay's ground point that fraction of the way from the
+    source's ground point to the destination's; altitude sets its height.
+    A coordinate left None keeps the relay's own.
+    """
+    relay = geometry.relay
+    x, y = relay.x, relay.y
+    if along is not None:
+        src, dst = geometry.source, geometry.destination
+        x = src.x + along * (dst.x - src.x)
+        y = src.y + along * (dst.y - src.y)
+    z = relay.z if altitude is None else altitude
+    return replace(geometry, relay=NodePosition(x, y, z))
 
 
 def distance(a: NodePosition, b: NodePosition) -> float:

@@ -22,10 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .channel_models import LINK_IDS, LinkSet, amplitude_params, sample_power_gain
-from .protocol import FrameRealization, ProtocolConfig, require_noise
-
-_LN2 = math.log(2.0)
+from .channel_models import LinkSet, amplitude_params, sample_power_gain
+from .protocol import FrameRealization, ProtocolConfig, capacity, require_noise
 
 BLOCK_FRAMES = 8192
 
@@ -169,24 +167,33 @@ def _collect(plan: SimulationPlan, per_block):
 def _link_arrays(links: LinkSet):
     mu = np.empty(5)
     sigma = np.empty(5)
-    loss = np.empty(5)
     for j, link in enumerate(links.ordered()):
         mu[j], sigma[j] = amplitude_params(link.k_factor)
-        loss[j] = link.large_scale_gain
-    return mu, sigma, loss
+    return mu, sigma
 
 
-def _block_metrics(cfg: ProtocolConfig, arrays, z: np.ndarray):
-    mu, sigma, loss = arrays
-    return _kernels.frame_metrics(
-        z, mu, sigma, loss,
-        cfg.source_power, cfg.jamming_power, cfg.harvester_efficiency,
-        cfg.power_split, cfg.processing_noise_ratio, cfg.noise_power,
-        cfg.include_residual_epsilon,
-    )
+def _nonfinite(gamma: np.ndarray) -> int:
+    """Frames whose SINR is NaN or infinite.
+
+    SINRs are non-negative, so one sum settles the all-finite case; the
+    elementwise count runs only when that sum is not finite.
+    """
+    if math.isfinite(np.sum(gamma)):
+        return 0
+    return int(np.count_nonzero(~np.isfinite(gamma)))
 
 
-def _binomial_estimate(plan: SimulationPlan, hits: int) -> Estimate:
+def _require_finite(plan: SimulationPlan, bad: int) -> None:
+    if bad:
+        raise ValueError(
+            f"{bad} of {plan.frames} frames gave a non-finite SINR; the "
+            "configured powers or gains leave double range"
+        )
+
+
+def _binomial_estimate(plan: SimulationPlan, results) -> Estimate:
+    hits = sum(h for h, _ in results)
+    _require_finite(plan, sum(b for _, b in results))
     mean = hits / plan.frames
     std_error = math.sqrt(mean * (1.0 - mean) / plan.frames)
     return Estimate(mean=mean, std_error=std_error, frames=plan.frames, seed=plan.seed)
@@ -202,52 +209,61 @@ def _moment_estimate(plan: SimulationPlan, total: float, total_sq: float) -> Est
     return Estimate(mean=mean, std_error=math.sqrt(var / n), frames=n, seed=plan.seed)
 
 
+def _moment_sums(results) -> tuple[float, float, int]:
+    """Fold per-block (sum, sum of squares, non-finite count) in block order."""
+    total = 0.0
+    total_sq = 0.0
+    bad = 0
+    for s1, s2, b in results:
+        total += s1
+        total_sq += s2
+        bad += b
+    return total, total_sq, bad
+
+
 def estimate_cp(cfg: ProtocolConfig, links: LinkSet, plan: SimulationPlan) -> Estimate:
     """Probability that the destination decodes: fraction of frames with
     main-link SINR above the transmission threshold."""
     require_noise(cfg)
-    arrays = _link_arrays(links)
+    mu, sigma = _link_arrays(links)
     delta = cfg.delta_t
 
     def per_block(z):
-        gamma_m, _, _ = _block_metrics(cfg, arrays, z)
-        return int(np.count_nonzero(gamma_m > delta))
+        gamma_m, _, _ = _kernels.frame_metrics(z, mu, sigma, cfg, links)
+        return int(np.count_nonzero(gamma_m > delta)), _nonfinite(gamma_m)
 
-    return _binomial_estimate(plan, sum(_collect(plan, per_block)))
+    return _binomial_estimate(plan, _collect(plan, per_block))
 
 
 def estimate_sop(cfg: ProtocolConfig, links: LinkSet, plan: SimulationPlan) -> Estimate:
     """Probability of a secrecy outage: fraction of frames where the better of
     the eavesdropper's two SINRs clears the secrecy threshold."""
     require_noise(cfg)
-    arrays = _link_arrays(links)
+    mu, sigma = _link_arrays(links)
     delta = cfg.delta_e
 
     def per_block(z):
-        _, gamma_1, gamma_2 = _block_metrics(cfg, arrays, z)
-        return int(np.count_nonzero(np.maximum(gamma_1, gamma_2) > delta))
+        _, gamma_1, gamma_2 = _kernels.frame_metrics(z, mu, sigma, cfg, links)
+        gamma_e = np.maximum(gamma_1, gamma_2)
+        return int(np.count_nonzero(gamma_e > delta)), _nonfinite(gamma_e)
 
-    return _binomial_estimate(plan, sum(_collect(plan, per_block)))
+    return _binomial_estimate(plan, _collect(plan, per_block))
 
 
 def estimate_asr(cfg: ProtocolConfig, links: LinkSet, plan: SimulationPlan) -> Estimate:
     """Average secrecy rate: mean clamped capacity gap in bits/s/Hz."""
     require_noise(cfg)
-    arrays = _link_arrays(links)
+    mu, sigma = _link_arrays(links)
 
     def per_block(z):
-        gamma_m, gamma_1, gamma_2 = _block_metrics(cfg, arrays, z)
+        gamma_m, gamma_1, gamma_2 = _kernels.frame_metrics(z, mu, sigma, cfg, links)
         gamma_e = np.maximum(gamma_1, gamma_2)
-        rate = np.maximum(
-            0.5 * np.log1p(gamma_m) / _LN2 - 0.5 * np.log1p(gamma_e) / _LN2, 0.0
-        )
-        return float(np.sum(rate)), float(np.dot(rate, rate))
+        rate = np.maximum(capacity(gamma_m) - capacity(gamma_e), 0.0)
+        return (float(np.sum(rate)), float(np.dot(rate, rate)),
+                _nonfinite(gamma_m + gamma_e))
 
-    total = 0.0
-    total_sq = 0.0
-    for s1, s2 in _collect(plan, per_block):
-        total += s1
-        total_sq += s2
+    total, total_sq, bad = _moment_sums(_collect(plan, per_block))
+    _require_finite(plan, bad)
     return _moment_estimate(plan, total, total_sq)
 
 
@@ -258,14 +274,11 @@ def estimate_functional(
     metric estimators consume. The functional receives a FrameRealization
     whose fields are length-n arrays and must return n real values."""
     require_noise(cfg)
-    mu, sigma, loss = _link_arrays(links)
+    mu, sigma = _link_arrays(links)
 
     def per_block(z):
         length = len(z)
-        gains = _kernels._gains_numpy(z, mu, sigma)
-        frame = FrameRealization(**{
-            f"s_{name}": gains[:, j] for j, name in enumerate(LINK_IDS)
-        })
+        frame = FrameRealization(*_kernels.power_gains(z, mu, sigma))
         values = np.asarray(functional(frame), dtype=float)
         if values.shape != (length,):
             raise ValueError(
@@ -276,13 +289,7 @@ def estimate_functional(
             return 0.0, 0.0, bad
         return float(np.sum(values)), float(np.dot(values, values)), 0
 
-    total = 0.0
-    total_sq = 0.0
-    bad = 0
-    for s1, s2, b in _collect(plan, per_block):
-        total += s1
-        total_sq += s2
-        bad += b
+    total, total_sq, bad = _moment_sums(_collect(plan, per_block))
     if bad:
         raise ValueError(
             f"functional produced {bad} non-finite values over {plan.frames} frames"

@@ -143,6 +143,15 @@ def lambda_star(frame: pr.FrameRealization,
                             case=CASE_INTERIOR)
 
 
+def _sinrs_at(allocation, cfg: pr.ProtocolConfig, frame: pr.FrameRealization,
+              links: cm.LinkSet):
+    """Main and eavesdropper SINRs at an allocation, scalar or one per frame."""
+    p = cfg.total_power
+    gamma_m, gamma_1, gamma_2 = pr.sinrs(
+        cfg, links, *frame.gains(), allocation * p, (1.0 - allocation) * p)
+    return gamma_m, np.maximum(gamma_1, gamma_2)
+
+
 def phi_lambda(allocation, cfg: pr.ProtocolConfig, frame: pr.FrameRealization,
                links: cm.LinkSet, mode: str = "exact"):
     """SINR gap ratio of one frame (or batch) at the given allocation.
@@ -155,9 +164,7 @@ def phi_lambda(allocation, cfg: pr.ProtocolConfig, frame: pr.FrameRealization,
     if not 0.0 < allocation < 1.0:
         raise ValueError(f"allocation must lie in (0, 1), got {allocation}")
     if mode == "exact":
-        cfg_a = replace(cfg, allocation=allocation)
-        gamma_m = pr.sinr_main(cfg_a, frame, links)
-        gamma_e = pr.sinr_eve(cfg_a, frame, links)
+        gamma_m, gamma_e = _sinrs_at(allocation, cfg, frame, links)
         return (gamma_m - gamma_e) / (1.0 + gamma_e)
     if mode == "approximate":
         consts = sinr_constants(cfg, frame, links)
@@ -224,12 +231,15 @@ def estimate_asr_allocation_policy(cfg: pr.ProtocolConfig, links: cm.LinkSet,
     the genie-aided upper layer of the policy, distinct from the ergodic
     grid searches below. Frames in the nu < 1 branch fall back to a grid
     argmax over [0.01, 0.99]; allocation_policy_fallback_share reports how
-    often that happens under the same draws.
+    often that happens under the same draws. The rule reads SinrConstants,
+    which leave out the residual-epsilon term; the rate at the chosen
+    allocation comes from the protocol SINRs, which keep it when it is on.
     """
 
     def rates(frame):
-        consts = sinr_constants(cfg, frame, links)
-        return _rate_from_constants(_policy_allocations(consts), consts)
+        allocation = _policy_allocations(sinr_constants(cfg, frame, links))
+        gamma_m, gamma_e = _sinrs_at(allocation, cfg, frame, links)
+        return np.maximum(pr.capacity(gamma_m) - pr.capacity(gamma_e), 0.0)
 
     return mc.estimate_functional(cfg, links, plan, rates)
 
@@ -365,15 +375,6 @@ class PlacementCurve:
     asr_no_jamming_se: np.ndarray
 
 
-def _relay_position(axis: str, geom: geo.NetworkGeometry, value: float):
-    if axis == "horizontal":
-        a, b = geom.source, geom.destination
-        return geo.NodePosition(
-            a.x + value * (b.x - a.x), a.y + value * (b.y - a.y), geom.relay.z,
-        )
-    return geo.NodePosition(geom.relay.x, geom.relay.y, value)
-
-
 def placement_sweep(cfg: pr.ProtocolConfig, geometry_template: geo.NetworkGeometry,
                     plan: mc.SimulationPlan, axis: str,
                     grid: SweepGrid | None = None,
@@ -398,12 +399,10 @@ def placement_sweep(cfg: pr.ProtocolConfig, geometry_template: geo.NetworkGeomet
               "asr_policy_se", "policy_fallback_share", "asr_no_jamming",
               "asr_no_jamming_se")}
     for k, value in enumerate(positions):
-        geom_k = geo.NetworkGeometry(
-            source=geometry_template.source,
-            destination=geometry_template.destination,
-            eavesdropper=geometry_template.eavesdropper,
-            relay=_relay_position(axis, geometry_template, float(value)),
-        )
+        if axis == "horizontal":
+            geom_k = geo.move_relay(geometry_template, along=float(value))
+        else:
+            geom_k = geo.move_relay(geometry_template, altitude=float(value))
         links_k = cm.build_links(geom_k, env)
         fixed = mc.estimate_asr(cfg, links_k, plan)
         curve["asr_fixed"][k] = fixed.mean

@@ -123,6 +123,10 @@ class FrameRealization:
             if not np.all(np.isfinite(v) & (v > 0)):
                 raise ValueError(f"{name} must be positive and finite")
 
+    def gains(self) -> tuple:
+        """The five gains in (au, ub, ue, ae, be) order, as sinrs takes them."""
+        return (self.s_au, self.s_ub, self.s_ue, self.s_ae, self.s_be)
+
 
 class SecrecyQuantities(NamedTuple):
     capacity_main: object
@@ -156,77 +160,86 @@ def relay_gain(cfg: ProtocolConfig, frame: FrameRealization, links: LinkSet):
     )
 
 
-def _residual_noise(cfg: ProtocolConfig, x_a, x_b):
-    """Self-noise floor left after substituting the relay gain; optional.
+def sinrs(cfg: ProtocolConfig, links: LinkSet, s_au, s_ub, s_ue, s_ae, s_be,
+          source_power, jamming_power):
+    """(gamma_main, gamma_eve1, gamma_eve2) of frames with the given gains.
 
-    Vanishes at moderate/high SNR, hence the switch; the exact substitution
-    would add the noise power to the denominator as well.
+    This is the one place the three SINRs are written; every other route
+    evaluates it. The powers are arguments rather than read from cfg, so a
+    caller can give each frame its own allocation (arrays broadcast against
+    the gains). The gains are taken as given: FrameRealization validates
+    them where they arrive from outside.
     """
-    if not cfg.include_residual_epsilon:
-        return 0.0
-    return cfg.processing_noise * cfg.noise_power / (x_a + x_b)
+    n0 = cfg.noise_power
+    gamma_eve1 = (
+        source_power * s_ae * links.ae.large_scale_gain
+        / (jamming_power * s_be * links.be.large_scale_gain + n0)
+    )
+    beta = cfg.power_split
+    arrived_ub = s_ub * links.ub.large_scale_gain
+    arrived_ue = s_ue * links.ue.large_scale_gain
+    if beta == 0.0 or beta == 1.0:
+        # no harvest or nothing processed: the relayed path carries nothing
+        return 0.0 * (s_au * arrived_ub), gamma_eve1, 0.0 * (s_au * arrived_ue)
+    eta = cfg.harvester_efficiency
+    shared = eta * beta * (1.0 - beta)
+    relayed = shared * source_power * s_au * links.au.large_scale_gain
+    noise_gain = eta * beta * (1.0 - beta + cfg.processing_noise_ratio)
+    floor = (1.0 - beta) * n0
+    den_main = noise_gain * arrived_ub * n0 + floor
+    # the eavesdropper also hears the destination's jamming, forwarded
+    den_eve2 = (
+        shared * jamming_power * s_ub * links.ub.large_scale_gain * arrived_ue
+        + floor
+        + noise_gain * arrived_ue * n0
+    )
+    if cfg.include_residual_epsilon:
+        # Self-noise floor left after substituting the relay gain. It vanishes
+        # at moderate/high SNR, hence the switch; the exact substitution
+        # would add the noise power to the denominator as well.
+        x_a = source_power * s_au * links.au.large_scale_gain
+        x_b = jamming_power * s_ub * links.ub.large_scale_gain
+        residual = cfg.processing_noise * n0 / (x_a + x_b)
+        den_main = den_main + residual
+        den_eve2 = den_eve2 + residual
+    return relayed * arrived_ub / den_main, gamma_eve1, relayed * arrived_ue / den_eve2
+
+
+def _frame_sinrs(cfg: ProtocolConfig, frame: FrameRealization, links: LinkSet):
+    return sinrs(cfg, links, *frame.gains(), cfg.source_power, cfg.jamming_power)
 
 
 def sinr_main(cfg: ProtocolConfig, frame: FrameRealization, links: LinkSet):
     """End-to-end SINR of the relayed source stream at the destination."""
-    beta = cfg.power_split
-    arrived_ub = frame.s_ub * links.ub.large_scale_gain
-    if beta == 0.0 or beta == 1.0:
-        return 0.0 * (frame.s_au * arrived_ub)  # no harvest or nothing processed
-    x_a, x_b = _arrival_powers(cfg, frame, links)
-    eta = cfg.harvester_efficiency
-    n0 = cfg.noise_power
-    num = (
-        eta * beta * (1.0 - beta)
-        * cfg.source_power * frame.s_au * links.au.large_scale_gain * arrived_ub
-    )
-    den = (
-        eta * beta * (1.0 - beta + cfg.processing_noise_ratio) * arrived_ub * n0
-        + (1.0 - beta) * n0
-        + _residual_noise(cfg, x_a, x_b)
-    )
-    return num / den
+    return _frame_sinrs(cfg, frame, links)[0]
 
 
 def sinr_eve_phase1(cfg: ProtocolConfig, frame: FrameRealization, links: LinkSet):
     """Eavesdropper SINR on the direct phase-1 signal, degraded by the jammer."""
-    return (
-        cfg.source_power * frame.s_ae * links.ae.large_scale_gain
-        / (cfg.jamming_power * frame.s_be * links.be.large_scale_gain + cfg.noise_power)
-    )
+    return _frame_sinrs(cfg, frame, links)[1]
 
 
 def sinr_eve_phase2(cfg: ProtocolConfig, frame: FrameRealization, links: LinkSet):
     """Eavesdropper SINR on the relayed signal; the forwarded jamming remains."""
-    beta = cfg.power_split
-    arrived_ue = frame.s_ue * links.ue.large_scale_gain
-    if beta == 0.0 or beta == 1.0:
-        return 0.0 * (frame.s_au * arrived_ue)
-    x_a, x_b = _arrival_powers(cfg, frame, links)
-    eta = cfg.harvester_efficiency
-    n0 = cfg.noise_power
-    shared = eta * beta * (1.0 - beta)
-    num = shared * cfg.source_power * frame.s_au * links.au.large_scale_gain * arrived_ue
-    den = (
-        shared * cfg.jamming_power * frame.s_ub * links.ub.large_scale_gain * arrived_ue
-        + (1.0 - beta) * n0
-        + eta * beta * (1.0 - beta + cfg.processing_noise_ratio) * arrived_ue * n0
-        + _residual_noise(cfg, x_a, x_b)
-    )
-    return num / den
+    return _frame_sinrs(cfg, frame, links)[2]
 
 
 def sinr_eve(cfg: ProtocolConfig, frame: FrameRealization, links: LinkSet):
     """Best of the eavesdropper's two interception chances."""
-    return np.maximum(
-        sinr_eve_phase1(cfg, frame, links), sinr_eve_phase2(cfg, frame, links)
-    )
+    _, gamma_1, gamma_2 = _frame_sinrs(cfg, frame, links)
+    return np.maximum(gamma_1, gamma_2)
+
+
+def capacity(gamma):
+    """Capacity 0.5 * log2(1 + gamma) in bits/s/Hz; the 1/2 is the two phases."""
+    return 0.5 * np.log1p(gamma) / _LN2
 
 
 def secrecy_quantities(
     cfg: ProtocolConfig, frame: FrameRealization, links: LinkSet
 ) -> SecrecyQuantities:
     """Main capacity, wiretap capacity, and their clamped difference (bits/s/Hz)."""
-    c_main = 0.5 * np.log1p(sinr_main(cfg, frame, links)) / _LN2
-    c_eve = 0.5 * np.log1p(sinr_eve(cfg, frame, links)) / _LN2
+    gamma_m, gamma_1, gamma_2 = _frame_sinrs(cfg, frame, links)
+    c_main = capacity(gamma_m)
+    c_eve = capacity(np.maximum(gamma_1, gamma_2))
     return SecrecyQuantities(c_main, c_eve, np.maximum(c_main - c_eve, 0.0))

@@ -24,8 +24,6 @@ LN2 = math.log(2.0)
 
 # ln of the largest representable double, rounded down.
 _LOG_HUGE = 709.0
-# Values whose log exceeds this would round past 1/1e-300.
-_LOG_FLOOR_RECIP = 690.7
 
 
 class SeriesOverflowError(OverflowError):
@@ -199,7 +197,7 @@ def _bessel_i0_truncated(x: float, order: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# modified Bessel K (integer and half-integer order)
+# modified Bessel K (integer order)
 
 def _k0_k1_small(x: float) -> tuple[float, float]:
     """Ascending series for K0 and K1, reliable for 0 < x <= 2."""
@@ -269,63 +267,33 @@ def _log_k_asymptotic(nu: float, x: float) -> float:
     return 0.5 * math.log(math.pi / (2.0 * x)) - x + math.log(total)
 
 
-def log_bessel_k_sequence(nu_max: int, x: float, half_shift: bool = False) -> np.ndarray:
-    """ln K_nu(x) for nu = 0..nu_max (or nu = 1/2..nu_max+1/2 when shifted).
+def log_bessel_k_sequence(nu_max: int, x: float) -> np.ndarray:
+    """ln K_nu(x) for nu = 0..nu_max.
 
     Upward recurrence in log space: the linear recurrence overflows near
     nu ~ 50 for small arguments while the log form cannot.
     """
     if x <= 0:
-        raise ValueError(f"bessel_k requires x > 0, got {x}")
+        raise ValueError(f"log_bessel_k_sequence requires x > 0, got {x}")
     out = np.empty(nu_max + 1)
-    if half_shift:
-        # K_{1/2} has a closed form; K_{3/2} = K_{1/2} (1 + 1/x).
-        out[0] = 0.5 * math.log(math.pi / (2.0 * x)) - x
+    if x <= 2.0:
+        k0, k1 = _k0_k1_small(x)
+        out[0] = math.log(k0)
         if nu_max >= 1:
-            out[1] = out[0] + math.log1p(1.0 / x)
-        lo = 0.5
+            out[1] = math.log(k1)
+    elif x <= 600.0:
+        out[0] = math.log(_k_cosh_integral(0.0, x))
+        if nu_max >= 1:
+            out[1] = math.log(_k_cosh_integral(1.0, x))
     else:
-        if x <= 2.0:
-            k0, k1 = _k0_k1_small(x)
-            out[0] = math.log(k0)
-            if nu_max >= 1:
-                out[1] = math.log(k1)
-        elif x <= 600.0:
-            out[0] = math.log(_k_cosh_integral(0.0, x))
-            if nu_max >= 1:
-                out[1] = math.log(_k_cosh_integral(1.0, x))
-        else:
-            out[0] = _log_k_asymptotic(0.0, x)
-            if nu_max >= 1:
-                out[1] = _log_k_asymptotic(1.0, x)
-        lo = 0.0
+        out[0] = _log_k_asymptotic(0.0, x)
+        if nu_max >= 1:
+            out[1] = _log_k_asymptotic(1.0, x)
     for v in range(1, nu_max):
         # K_{v+1} = (2v/x) K_v + K_{v-1}, folded into logs.
         ratio = out[v - 1] - out[v]
-        out[v + 1] = out[v] + math.log(2.0 * (lo + v) / x + math.exp(ratio))
+        out[v + 1] = out[v] + math.log(2.0 * v / x + math.exp(ratio))
     return out
-
-
-def bessel_k(nu: float, x: float) -> float:
-    """Modified Bessel function of the second kind for integer or half-integer order."""
-    two_nu = 2.0 * abs(nu)
-    if abs(two_nu - round(two_nu)) > 1e-12:
-        raise ValueError(f"bessel_k supports integer and half-integer orders, got {nu}")
-    v = abs(nu)  # K is even in its order
-    if x <= 0:
-        raise ValueError(f"bessel_k requires x > 0, got {x}")
-    if round(two_nu) % 2 == 0:
-        seq = log_bessel_k_sequence(int(round(v)), x)
-        log_val = seq[int(round(v))]
-    else:
-        idx = int(round(v - 0.5))
-        seq = log_bessel_k_sequence(idx, x, half_shift=True)
-        log_val = seq[idx]
-    if log_val > _LOG_FLOOR_RECIP:
-        raise SeriesOverflowError(
-            f"bessel_k({nu}, {x}) exceeds 1e300; evaluate in log space instead"
-        )
-    return math.exp(log_val)
 
 
 # ---------------------------------------------------------------------------
@@ -420,16 +388,6 @@ def _marcum_q1_truncated(a: float, b: float, order: int) -> float:
 # ---------------------------------------------------------------------------
 # gamma family
 
-def gamma(x: float) -> float:
-    """Gamma function (poles at non-positive integers raise ValueError)."""
-    return math.gamma(x)
-
-
-def log_gamma(x: float) -> float:
-    """ln |Gamma(x)|, the primitive behind every series weight."""
-    return math.lgamma(x)
-
-
 def digamma(x: float) -> float:
     """Psi function for x > 0: recurrence shift into the asymptotic region."""
     if x <= 0:
@@ -450,11 +408,6 @@ def digamma(x: float) -> float:
     return acc + tail
 
 
-def upper_incomplete_gamma(a: int, x: float) -> float:
-    """Gamma(a, x) for integer a >= 1 via the finite exponential-sum form."""
-    return math.exp(log_upper_incomplete_gamma(a, x))
-
-
 def log_upper_incomplete_gamma(a: int, x: float) -> float:
     """ln Gamma(a, x), integer a >= 1, x >= 0; stable for large x."""
     if a < 1 or a != int(a):
@@ -472,16 +425,10 @@ def log_upper_incomplete_gamma(a: int, x: float) -> float:
 # ---------------------------------------------------------------------------
 # exponential integral E1
 
-def exp_integral_e1(x: float) -> float:
-    """E1(x) for x > 0; underflows to 0.0 past x ~ 745."""
-    value = log_exp_integral_e1(x)
-    return math.exp(value) if value > -745.0 else 0.0
-
-
 def log_exp_integral_e1(x: float) -> float:
     """ln E1(x); remains finite for arguments far beyond the linear range."""
     if x <= 0:
-        raise ValueError(f"exp_integral_e1 requires x > 0, got {x}")
+        raise ValueError(f"log_exp_integral_e1 requires x > 0, got {x}")
     if x <= 1.5:
         total = -EULER_GAMMA - math.log(x)
         term = 1.0
@@ -515,88 +462,6 @@ def _e1_continued_fraction(x: float) -> float:
         if abs(delta - 1.0) < 1e-16:
             return f
     return f
-
-
-# ---------------------------------------------------------------------------
-# Whittaker M (first kind, second index zero)
-
-def whittaker_m(kappa: float, mu: float, x: float) -> float:
-    """Whittaker M function; only the mu = 0 branch is supported.
-
-    M(kappa, 0, x) = exp(-x/2) sqrt(x) 1F1(1/2 - kappa; 1; x). When
-    1/2 - kappa is a positive integer n the confluent series collapses to
-    exp(x) times a degree n-1 polynomial, which is the case the leakage
-    series consumes.
-    """
-    if mu != 0.0:
-        raise ValueError("whittaker_m is implemented for mu = 0 only")
-    if x <= 0:
-        raise ValueError(f"whittaker_m requires x > 0, got {x}")
-    a = 0.5 - kappa
-    if a > 0 and abs(a - round(a)) < 1e-12:
-        return math.exp(log_whittaker_m_neg_half(int(round(a)) - 1, x))
-    if x > 600.0:
-        raise SeriesOverflowError("whittaker_m argument too large for linear evaluation")
-    term = 1.0
-    total = 1.0
-    for k in range(0, 10000):
-        term *= (a + k) * x / ((k + 1.0) * (k + 1.0))
-        total += term
-        if abs(term) < 1e-17 * abs(total) and k > x:
-            break
-    return math.exp(-0.5 * x) * math.sqrt(x) * total
-
-
-def log_whittaker_m_neg_half(r: int, x: float) -> float:
-    """ln M(-(r+1/2), 0, x) for integer r >= 0 and x > 0.
-
-    Uses 1F1(r+1; 1; x) = exp(x) sum_{k<=r} C(r,k) x^k / k!, a finite sum.
-    """
-    if r < 0:
-        raise ValueError(f"r >= 0 required, got {r}")
-    if x <= 0:
-        raise ValueError(f"x > 0 required, got {x}")
-    t = lgamma_int(r + 2)
-    k = np.arange(r + 1)
-    poly = logsumexp(log_binomial(r, k) + k * math.log(x) - t[k + 1])
-    return 0.5 * x + 0.5 * math.log(x) + poly
-
-
-# ---------------------------------------------------------------------------
-# the log-weighted tail integral (a Meijer G special case)
-
-def meijer_g_3023(j: int, x: float, mode: str = "closed") -> float:
-    """integral_x^inf t^j exp(-t) ln(t/x) dt for integer j >= 0, x > 0.
-
-    Closed mode uses j! (E1(x) + sum_{k=1..j} Gamma(k,x)/k!); quadrature mode
-    integrates directly and exists as an independent cross-check.
-    """
-    if j < 0 or j != int(j):
-        raise ValueError(f"integer j >= 0 required, got {j}")
-    if x <= 0:
-        raise ValueError(f"x > 0 required, got {x}")
-    if mode == "closed":
-        return math.exp(log_meijer_g_3023(j, x))
-    if mode == "quadrature":
-        return _meijer_quadrature(int(j), x)
-    raise ValueError(f"unknown meijer_g_3023 mode {mode!r}")
-
-
-def log_meijer_g_3023(j: int, x: float) -> float:
-    t = lgamma_int(j + 2)
-    parts = [log_exp_integral_e1(x)]
-    for k in range(1, int(j) + 1):
-        parts.append(log_upper_incomplete_gamma(k, x) - t[k + 1])
-    return t[j + 1] + logsumexp(parts)
-
-
-def _meijer_quadrature(j: int, x: float) -> float:
-    def f(s):
-        # t = x + s keeps the log factor analytic at the lower limit
-        return (x + s) ** j * np.exp(-(x + s)) * np.log1p(s / x)
-
-    upper = 60.0 + x + 4.0 * j * (1.0 + math.log1p(j + x))
-    return panel_quadrature(f, _dyadic_edges(upper, splits=50), points=32)
 
 
 # ---------------------------------------------------------------------------

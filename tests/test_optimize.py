@@ -169,6 +169,22 @@ def test_exact_phi_matches_rational_reparametrization():
         np.testing.assert_allclose(exact, rational, rtol=1e-12)
 
 
+@pytest.mark.parametrize("beta", [0.2, 0.5, 0.8])
+def test_sinr_constants_reproduce_protocol_sinrs(beta):
+    # The rational form is the only SINR model besides protocol.sinrs; with
+    # the residual term off it must give the same three SINRs.
+    cfg = pr.ProtocolConfig(total_power=1000.0, power_split=beta)
+    c = opt.sinr_constants(cfg, FRAMES, LINKS)
+    for lam in (0.05, 0.37, 0.93, 1.0):
+        p_a, p_b = lam * cfg.total_power, (1.0 - lam) * cfg.total_power
+        gamma_m, gamma_1, gamma_2 = pr.sinrs(cfg, LINKS, *FRAMES.gains(), p_a, p_b)
+        np.testing.assert_allclose(lam * c.c1, gamma_m, rtol=1e-12)
+        np.testing.assert_allclose(
+            lam * c.c2 / ((1.0 - lam) * c.c3 + 1.0), gamma_1, rtol=1e-12)
+        np.testing.assert_allclose(
+            lam * c.c4 / ((1.0 - lam) * c.c5 + 1.0), gamma_2, rtol=1e-12)
+
+
 def test_phi_vanishes_linearly_at_zero_allocation():
     # No source power, no rate for anyone: phi -> 0, with slope c1.
     frame = pr.FrameRealization(s_au=1.0, s_ub=1.0, s_ue=1.0, s_ae=1.0, s_be=1.0)
@@ -298,30 +314,53 @@ def test_policy_estimate_frozen():
     assert share == pytest.approx(POLICY_FALLBACK_SHARE, abs=1e-12)
 
 
+def replayed_policy_mean(cfg, plan):
+    """Replay the policy on the plan's single block, frame by frame.
+
+    Each frame's allocation is chosen by the closed-form rule on its
+    SinrConstants; its rate is then read from the protocol SINRs through
+    pr.secrecy_quantities at that allocation.
+    """
+    assert plan.frames <= mc.BLOCK_FRAMES
+    mu = np.array([cm.amplitude_params(l.k_factor)[0] for l in LINKS.ordered()])
+    sigma = np.array([cm.amplitude_params(l.k_factor)[1] for l in LINKS.ordered()])
+    z = mc.block_stream(plan.seed, 0).standard_normal((plan.frames, 5, 2))
+    amp = mu + sigma * z[:, :, 0]
+    gains = amp * amp + (sigma * z[:, :, 1]) ** 2
+    frames = pr.FrameRealization(*[gains[:, j] for j in range(5)])
+    consts = opt.sinr_constants(cfg, frames, LINKS)
+    nu = np.asarray(consts.nu)
+    fallback_grid = np.linspace(0.01, 0.99, 99)
+    rates = np.empty(plan.frames)
+    for i in range(plan.frames):
+        ci = opt.SinrConstants(*(np.asarray(c)[i] for c in consts))
+        if nu[i] >= 1.0:
+            lam = 1.0 / (1.0 + math.sqrt(nu[i]))
+        else:
+            cand = [opt._rate_from_constants(g, ci) for g in fallback_grid]
+            lam = float(fallback_grid[int(np.argmax(cand))])
+        frame = pr.FrameRealization(*(float(g[i]) for g in frames.gains()))
+        rates[i] = pr.secrecy_quantities(
+            replace(cfg, allocation=lam), frame, LINKS).secrecy_rate
+    return float(rates.mean())
+
+
 def test_policy_matches_manual_replay():
     # Replay the same draws outside the estimator and apply the same
     # per-frame rule; the means must agree exactly.
     plan = mc.SimulationPlan(frames=8192, seed=11)
     est = opt.estimate_asr_allocation_policy(CFG20, LINKS, plan)
-    mu = np.array([cm.amplitude_params(l.k_factor)[0] for l in LINKS.ordered()])
-    sigma = np.array([cm.amplitude_params(l.k_factor)[1] for l in LINKS.ordered()])
-    z = mc.block_stream(plan.seed, 0).standard_normal((8192, 5, 2))
-    amp = mu + sigma * z[:, :, 0]
-    gains = amp * amp + (sigma * z[:, :, 1]) ** 2
-    frames = pr.FrameRealization(*[gains[:, j] for j in range(5)])
-    consts = opt.sinr_constants(CFG20, frames, LINKS)
-    nu = np.asarray(consts.nu)
-    rates = np.empty(8192)
-    fallback_grid = np.linspace(0.01, 0.99, 99)
-    for i in range(8192):
-        ci = opt.SinrConstants(*(np.asarray(c)[i] for c in consts))
-        if nu[i] >= 1.0:
-            lam = 1.0 / (1.0 + math.sqrt(nu[i]))
-            rates[i] = opt._rate_from_constants(lam, ci)
-        else:
-            cand = [opt._rate_from_constants(g, ci) for g in fallback_grid]
-            rates[i] = max(cand)
-    assert est.mean == pytest.approx(float(rates.mean()), rel=1e-13)
+    assert est.mean == pytest.approx(replayed_policy_mean(CFG20, plan), rel=1e-13)
+
+
+def test_policy_rate_keeps_residual_term():
+    # The allocation rule reads SinrConstants, which carry no residual term;
+    # the reported rate must still come from the protocol SINRs with it.
+    plan = mc.SimulationPlan(frames=4096, seed=11)
+    cfg = replace(CFG20, include_residual_epsilon=True)
+    est = opt.estimate_asr_allocation_policy(cfg, LINKS, plan)
+    assert est.mean == pytest.approx(replayed_policy_mean(cfg, plan), rel=1e-13)
+    assert est.mean < opt.estimate_asr_allocation_policy(CFG20, LINKS, plan).mean
 
 
 # ---------------------------------------------------------------------------

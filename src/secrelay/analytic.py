@@ -3,9 +3,12 @@
 Connection probability and the second secrecy-outage factor are finite
 multiple series over Rician expansion indices; the rate lower bound is a
 Jensen-style log-moment expression. Every series is accumulated in log
-space: powers, factorials, Bessel and confluent factors enter as logarithms
-and meet in a single logsumexp per metric, so deep operating points (high
-power, order 25) stay inside float range.
+space: powers, factorials, Bessel and confluent factors enter as logarithms,
+so deep operating points (high power, order 25) stay inside float range.
+The CP and phase-2 outage series reduce in two stages. Their Bessel-kernel
+index meets the outer indices only through an offset in [-D, 0], so it is
+summed once per offset by a small logsumexp each; one logsumexp over the
+outer index set then adds those sums, and no array spans both indices.
 
 Probabilities come back as the raw series value plus a [0, 1]-clamped
 companion. The truncation weights keep the finite sums close to the exact
@@ -153,6 +156,33 @@ def _require_finite_constants(label: str, **constants: float) -> None:
             raise sf.SeriesOverflowError(f"{label} series: {name} is {value}")
 
 
+def _bessel_series_logsum(
+    base: np.ndarray,
+    offset: np.ndarray,
+    base_inner: np.ndarray,
+    depth: int,
+    argument: float,
+    log_ratio: float,
+    label: str,
+) -> float:
+    """ln sum_i sum_j exp(base[i] + base_inner[j] + nu log_ratio / 2
+    + ln K_|nu|(argument)) with nu = offset[i] + j + 1.
+
+    Every offset lies in [-depth, 0], so the inner index j is reduced once
+    per offset into h, then the outer terms base + h[offset] are reduced.
+    """
+    j = np.arange(base_inner.size)
+    # |nu| peaks at depth - 1 (offset -depth, first j) or at base_inner.size
+    # (offset 0, last j)
+    log_k = sf.log_bessel_k_sequence(max(depth - 1, base_inner.size), argument)
+    h = np.empty(depth + 1)
+    for o in range(-depth, 1):
+        nu = o + j + 1
+        h[o + depth] = _checked_logsumexp(
+            base_inner + 0.5 * nu * log_ratio + log_k[np.abs(nu)], label)
+    return _checked_logsumexp(base + h[offset + depth], label)
+
+
 def _require_interior_split(cfg: ProtocolConfig) -> None:
     # beta at either end starves the relay of signal or of harvested power
     if not 0.0 < cfg.power_split < 1.0:
@@ -203,15 +233,12 @@ def connection_probability(
     base_r = w_r - 2.0 * lg[r + 1] + _xlog(r, k_ub * (1.0 + k_ub))
 
     argument = 2.0 * math.sqrt((1.0 + k_au) * (1.0 + k_ub) * part_b)
-    order_nu = (s_i - u_i)[:, None] + r[None, :] + 1
-    log_k = sf.log_bessel_k_sequence(int(np.max(np.abs(order_nu))), argument)
     log_ratio = math.log((1.0 + k_au) * part_b / (1.0 + k_ub))
-
-    terms = (base[:, None] + base_r[None, :]
-             + 0.5 * order_nu * log_ratio + log_k[np.abs(order_nu)])
+    log_sum = _bessel_series_logsum(base, s_i - u_i, base_r, depth, argument,
+                                    log_ratio, "connection")
     log_prefix = (math.log(2.0 * (1.0 + k_ub))
                   - k_au - k_ub - (1.0 + k_au) * part_a)
-    raw = math.exp(log_prefix + _checked_logsumexp(terms, "connection"))
+    raw = math.exp(log_prefix + log_sum)
     return _as_series_probability(raw)
 
 
@@ -293,6 +320,7 @@ def sop_l2(
     contribution carries a confluent hypergeometric factor from integrating
     over the relay-destination gain; the relay-noise one carries a Bessel K.
     """
+    require_noise(cfg)
     _require_interior_split(cfg)
     delta = cfg.delta_e
     if delta == 0.0:
@@ -324,15 +352,13 @@ def sop_l2(
     base_q = w_q + _xlog(q, aux.c1) - 2.0 * lg[q + 1]
 
     argument = 2.0 * math.sqrt((1.0 + k_au) * (1.0 + k_ue) * aux.a2)
-    order_nu = (s_i - (u_i - r_i))[:, None] + q[None, :] + 1
-    log_k = sf.log_bessel_k_sequence(int(np.max(np.abs(order_nu))), argument)
     log_ratio = math.log((1.0 + k_au) * aux.a2 / (1.0 + k_ue))
-
-    terms = (base[:, None] + base_q[None, :]
-             + 0.5 * order_nu * log_ratio + log_k[np.abs(order_nu)])
+    # the Bessel order is s - (u - r) + q + 1 = q + 1 - m
+    log_sum = _bessel_series_logsum(base, -m_i, base_q, depth, argument,
+                                    log_ratio, "phase-2 outage")
     log_prefix = (math.log(2.0 * (1.0 + k_ub) * (1.0 + k_ue))
                   - k_au - k_ub - k_ue - 0.5 * shift_t)
-    raw = 1.0 - math.exp(log_prefix + _checked_logsumexp(terms, "phase-2 outage"))
+    raw = 1.0 - math.exp(log_prefix + log_sum)
     return _as_series_probability(raw)
 
 

@@ -467,6 +467,7 @@ def _e1_continued_fraction(x: float) -> float:
 # ---------------------------------------------------------------------------
 # Lemma machinery: E[ln(X + b)] for X ~ noncentral chi-square, 2 dof
 
+@functools.lru_cache(maxsize=256)
 def log_moment_ncx2(lam: float, b: float, mode: str = "series", order: int = 25):
     """E[ln(X + b)] where X is noncentral chi-square with 2 degrees of
     freedom and noncentrality lam >= 0, and b >= 0 is a constant offset.
@@ -474,6 +475,11 @@ def log_moment_ncx2(lam: float, b: float, mode: str = "series", order: int = 25)
     Series mode evaluates the finite form of depth ``order`` used by the rate
     lower bound; quadrature mode integrates the density directly and is the
     reference the series is validated against.
+
+    Values are cached per argument tuple: a grid of rate bounds repeats the
+    same few (lam, b), since the offset depends on the split and not on the
+    allocation. Errors are not cached. The cached values depend on
+    ``_PHI_MAX_LOST``; call ``log_moment_ncx2.cache_clear()`` after changing it.
     """
     if lam < 0 or b < 0:
         raise ValueError(f"lam >= 0 and b >= 0 required, got lam={lam}, b={b}")

@@ -422,12 +422,124 @@ def test_index_sets_match_nested_loops(build, loop):
 
 @pytest.mark.parametrize("metric", [an.connection_probability,
                                     an.secrecy_outage_probability,
+                                    an.sop_l2,
                                     an.asr_lower_bound])
 def test_series_metrics_reject_zero_noise(metric):
     # once a Bessel K domain error and a ZeroDivisionError from deep inside
     cfg = pr.ProtocolConfig(total_power=100.0, noise_power=0.0)
     with pytest.raises(ValueError, match="noise_power"):
         metric(cfg, LINKS)
+
+
+# ---------------------------------------------------------------------------
+# two-stage reduction of the Bessel-kernel series
+
+
+def _one_shot_cp(cfg, links, orders):
+    """Connection series as one logsumexp over the (triangle x R) term array."""
+    delta = cfg.delta_t
+    beta, eta = cfg.power_split, cfg.harvester_efficiency
+    zeta, n0, p_a = cfg.processing_noise_ratio, cfg.noise_power, cfg.source_power
+    k_au, k_ub = links.au.k_factor, links.ub.k_factor
+    l_au, l_ub = links.au.large_scale_gain, links.ub.large_scale_gain
+    part_a = (1.0 - beta + zeta) * n0 * delta / ((1.0 - beta) * p_a * l_au)
+    part_b = n0 * delta / (eta * beta * p_a * l_au * l_ub)
+    depth, radial = orders.D, orders.R
+    lg = sf.lgamma_int(depth + radial + 3)
+    w_d = sf.log_series_weight(depth, np.arange(depth + 1))
+    w_r = sf.log_series_weight(radial, np.arange(radial + 1))
+    d_i, u_i, s_i = an._triangle_indices(depth)
+    base = (w_d[d_i] - lg[d_i + 1] - lg[s_i + 1] - lg[u_i - s_i + 1]
+            + an._xlog(d_i, k_au) + u_i * math.log1p(k_au)
+            + an._xlog(s_i, part_a) + an._xlog(u_i - s_i, part_b))
+    r = np.arange(radial + 1)
+    base_r = w_r - 2.0 * lg[r + 1] + an._xlog(r, k_ub * (1.0 + k_ub))
+    argument = 2.0 * math.sqrt((1.0 + k_au) * (1.0 + k_ub) * part_b)
+    order_nu = (s_i - u_i)[:, None] + r[None, :] + 1
+    log_k = sf.log_bessel_k_sequence(int(np.max(np.abs(order_nu))), argument)
+    log_ratio = math.log((1.0 + k_au) * part_b / (1.0 + k_ub))
+    terms = (base[:, None] + base_r[None, :]
+             + 0.5 * order_nu * log_ratio + log_k[np.abs(order_nu)])
+    log_prefix = (math.log(2.0 * (1.0 + k_ub))
+                  - k_au - k_ub - (1.0 + k_au) * part_a)
+    return math.exp(log_prefix + sf.logsumexp(terms.ravel()))
+
+
+def _one_shot_l2(cfg, links, orders):
+    """Phase-2 outage series as one logsumexp over the (pyramid x Q) array."""
+    k_au, k_ub, k_ue = links.au.k_factor, links.ub.k_factor, links.ue.k_factor
+    aux = an.series_auxiliaries(cfg, links)
+    shift_t = 2.0 * (1.0 + k_au) * aux.a3
+    shift_p = 2.0 * (1.0 + k_au) * aux.a2
+    depth, radial = orders.D, orders.Q
+    lg = sf.lgamma_int(depth + radial + 3)
+    w_d = sf.log_series_weight(depth, np.arange(depth + 1))
+    w_q = sf.log_series_weight(radial, np.arange(radial + 1))
+    f11 = an._log_f11_table(depth, aux.c_tilde**2 / aux.b_tilde)
+    d_i, u_i, r_i, s_i = an._pyramid_indices(depth)
+    m_i = u_i - r_i - s_i
+    base = (w_d[d_i] + an._xlog(d_i, aux.a) - lg[d_i + 1] - (d_i + u_i) * sf.LN2
+            + an._xlog(r_i, aux.b) + f11[r_i] - (r_i + 1) * math.log(aux.b_tilde)
+            + an._xlog(s_i, shift_t) - lg[s_i + 1]
+            + an._xlog(m_i, shift_p) - lg[m_i + 1])
+    q = np.arange(radial + 1)
+    base_q = w_q + an._xlog(q, aux.c1) - 2.0 * lg[q + 1]
+    argument = 2.0 * math.sqrt((1.0 + k_au) * (1.0 + k_ue) * aux.a2)
+    order_nu = (s_i - (u_i - r_i))[:, None] + q[None, :] + 1
+    log_k = sf.log_bessel_k_sequence(int(np.max(np.abs(order_nu))), argument)
+    log_ratio = math.log((1.0 + k_au) * aux.a2 / (1.0 + k_ue))
+    terms = (base[:, None] + base_q[None, :]
+             + 0.5 * order_nu * log_ratio + log_k[np.abs(order_nu)])
+    log_prefix = (math.log(2.0 * (1.0 + k_ub) * (1.0 + k_ue))
+                  - k_au - k_ub - k_ue - 0.5 * shift_t)
+    return 1.0 - math.exp(log_prefix + sf.logsumexp(terms.ravel()))
+
+
+# D != Q and D != R, Q or R above D, and a deep order
+@pytest.mark.parametrize("depths", [(1, 1, 1), (5, 3, 7), (7, 9, 2),
+                                    (25, 25, 25), (40, 40, 40)], ids=str)
+def test_two_stage_sum_matches_one_shot_sum(depths):
+    orders = sf.TruncationOrders(*depths)
+    for p_dbw in (0, 10, 20, 30, 40):
+        cfg = cfg_at(p_dbw)
+        cp = an.connection_probability(cfg, LINKS, orders).raw
+        assert cp == pytest.approx(_one_shot_cp(cfg, LINKS, orders), rel=1e-13)
+        l2 = _one_shot_l2(cfg, LINKS, orders)
+        sop = an.secrecy_outage_probability(cfg, LINKS, orders).raw
+        assert an.sop_l2(cfg, LINKS, orders).raw == pytest.approx(l2, rel=1e-13)
+        assert sop == pytest.approx(1.0 - an.sop_l1(cfg, LINKS) * l2, rel=1e-13)
+
+
+@pytest.mark.parametrize("metric, label", [
+    (an.connection_probability, "connection series"),
+    (an.secrecy_outage_probability, "phase-2 outage series"),
+])
+def test_series_term_overflow_signalled(monkeypatch, metric, label):
+    real = sf.log_bessel_k_sequence
+
+    def top_order_overflows(nu_max, x):
+        out = real(nu_max, x).copy()
+        out[-1] = math.inf
+        return out
+
+    monkeypatch.setattr(sf, "log_bessel_k_sequence", top_order_overflows)
+    with pytest.raises(sf.SeriesOverflowError, match=label):
+        metric(cfg_at(20), LINKS, sf.TruncationOrders(D=6, R=9, Q=9))
+
+
+def test_deep_series_memory_stays_pyramid_sized():
+    # a (pyramid x Q) term array would take about 1.5 GB at order 60
+    tracemalloc = pytest.importorskip("tracemalloc")
+    orders = sf.TruncationOrders(D=60, R=60, Q=60)
+    cfg = cfg_at(20)
+    tracemalloc.start()
+    try:
+        an.secrecy_outage_probability(cfg, LINKS, orders)
+        an.connection_probability(cfg, LINKS, orders)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 150e6
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +607,30 @@ def test_asr_proxies_frozen():
         T2_VERBATIM_20DBW, rel=1e-12)
     assert an._mean_eve_sinr_proxy(cfg, LINKS, True) == pytest.approx(
         T2_CORRECTED_20DBW, rel=1e-12)
+
+
+def test_log_moment_cache_runs_each_argument_once(monkeypatch):
+    calls = []
+    for name in ("_g1_series", "_g2_series"):
+        def counted(*args, _body=getattr(sf, name)):
+            calls.append(args)
+            return _body(*args)
+
+        monkeypatch.setattr(sf, name, counted)
+    sf.log_moment_ncx2.cache_clear()
+    try:
+        for lam in np.linspace(0.1, 0.9, 5):
+            for beta in np.linspace(0.1, 0.9, 5):
+                an.asr_lower_bound(cfg_at(20, lam=lam, beta=beta), LINKS)
+    finally:
+        sf.log_moment_ncx2.cache_clear()
+    # one offset per split and none per allocation: 2 central calls, 5 shifted
+    distinct = set(calls)
+    assert len(calls) == len(distinct) == 7
+    for lam, *rest in distinct:
+        b = rest[0] if len(rest) == 2 else 0.0
+        assert sf.log_moment_ncx2(lam, b, "series", 25) == \
+            sf.log_moment_ncx2.__wrapped__(lam, b, "series", 25)
 
 
 def test_asr_lower_bound_order_refinement():

@@ -368,7 +368,6 @@ def secrecy_outage_probability(
     orders: sf.TruncationOrders = sf.TruncationOrders(),
 ) -> SeriesProbability:
     """1 - L1 L2: the two eavesdropper phases fail independently."""
-    require_noise(cfg)
     l1 = sop_l1(cfg, links)
     l2 = sop_l2(cfg, links, orders)
     return _as_series_probability(1.0 - l1 * l2.raw)

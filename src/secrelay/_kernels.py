@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import protocol as pr
-from .channel_models import LinkSet
+from .channel_models import LinkSet, rician_power_gain
 
 
 def power_gains(z: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> list:
@@ -20,11 +20,8 @@ def power_gains(z: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> list:
     amplitude parameters. Working one link at a time keeps numpy's inner
     loops n long, where a broadcast over the (n, 5) plane runs them 5 long.
     """
-    gains = []
-    for j in range(5):
-        amp = mu[j] + sigma[j] * z[:, j, 0]
-        gains.append(amp * amp + (sigma[j] * z[:, j, 1]) ** 2)
-    return gains
+    return [rician_power_gain(mu[j], sigma[j], z[:, j, 0], z[:, j, 1])
+            for j in range(5)]
 
 
 def frame_metrics(z: np.ndarray, mu: np.ndarray, sigma: np.ndarray,

@@ -81,6 +81,13 @@ def amplitude_params(k_factor: float) -> tuple[float, float]:
     return mu, sigma
 
 
+def rician_power_gain(mu, sigma, g1, g2):
+    """One link's gain (mu + sigma*g1)^2 + (sigma*g2)^2 from the amplitude
+    parameters of amplitude_params and standard normals g1, g2."""
+    amp = mu + sigma * g1
+    return amp * amp + (sigma * g2) ** 2
+
+
 def _log_bessel_i0(z: float) -> float:
     if z <= 600.0:
         return math.log(specfun.bessel_i(0.0, z))
@@ -138,7 +145,7 @@ def sample_power_gain(k_factor: float, rng: np.random.Generator, size=None):
     shape = () if size is None else size
     g1 = rng.standard_normal(shape)
     g2 = rng.standard_normal(shape)
-    s = (mu + sigma * g1) ** 2 + (sigma * g2) ** 2
+    s = rician_power_gain(mu, sigma, g1, g2)
     return float(s) if size is None else s
 
 

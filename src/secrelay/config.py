@@ -11,6 +11,7 @@ converted to linear watts exactly once, here.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, replace
 
 from . import channel_models as cm
@@ -41,7 +42,14 @@ def default_geometry() -> geo.NetworkGeometry:
 
 
 def dbw_to_watts(power_dbw: float) -> float:
-    return 10.0 ** (power_dbw / 10.0)
+    """Linear watts of a dBW power; ConfigError unless positive and finite."""
+    try:
+        watts = 10.0 ** (power_dbw / 10.0)
+    except OverflowError:
+        watts = math.inf
+    if not 0.0 < watts < math.inf:
+        raise ConfigError(f"{power_dbw} dBW is not a positive, finite power")
+    return watts
 
 
 @dataclass(frozen=True)
@@ -67,6 +75,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"baseline must be one of {BASELINES}, got {self.baseline!r}"
             )
+        try:
+            self.build_links()
+        except ValueError as exc:
+            raise ConfigError(f"{self.baseline} geometry: {exc}") from None
 
     def effective_geometry(self) -> geo.NetworkGeometry:
         if self.baseline != BASELINE_GROUND_RELAY:
@@ -99,7 +111,7 @@ _SECTION_KEYS = {
                  "harvester_efficiency", "processing_noise_ratio",
                  "noise_power", "rate_t", "rate_s"},
     "truncation": {"d", "r", "q"},
-    "plan": {"frames", "seed", "workers"},
+    "plan": {"frames", "seed"},
     "mode": {"baseline", "residual_epsilon", "k_factor"},
 }
 
@@ -203,12 +215,9 @@ def load_config(path: str | None = None) -> ExperimentConfig:
             R=get("truncation", "r", int, 25),
             Q=get("truncation", "q", int, 25),
         )
-        workers_raw = sections.get("plan", {}).get("workers")
         plan = mc.SimulationPlan(
             frames=get("plan", "frames", int, 100_000),
             seed=get("plan", "seed", int, 0),
-            workers=(_convert(workers_raw, int, "[plan] workers")
-                     if workers_raw is not None else None),
         )
         return ExperimentConfig(
             geometry=geometry, environment=environment, protocol=protocol,

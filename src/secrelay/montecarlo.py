@@ -2,8 +2,8 @@
 
 Frames are partitioned into fixed-size blocks and block i draws from its own
 Philox stream keyed by (seed, i), so gains depend only on the seed and the
-frame's block, never on worker count or scheduling. Partial sums are folded
-in block order, making every estimate bit-reproducible.
+frame's block, never on call order or caching. Partial sums are folded in
+block order, making every estimate bit-reproducible.
 
 Sweeps evaluate many configurations on the same seed (common random
 numbers), so each block's normals are drawn once per process and kept in a
@@ -13,10 +13,8 @@ small bounded cache; later calls on the same (seed, block) read them back.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,19 +37,16 @@ _cache_lock = threading.Lock()
 
 @dataclass(frozen=True)
 class SimulationPlan:
-    """How many frames to simulate, from which seed, on how many workers."""
+    """How many frames to simulate, and from which seed."""
 
     frames: int = 100_000
     seed: int = 0
-    workers: int | None = None  # None = auto
 
     def __post_init__(self) -> None:
         if self.frames < 1:
             raise ValueError(f"frames must be >= 1, got {self.frames}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be >= 1 or None, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -96,22 +91,10 @@ def _spans(frames: int):
     ]
 
 
-def _worker_count(plan: SimulationPlan, blocks: int) -> int:
-    if plan.workers is not None:
-        return plan.workers
-    return max(1, min(8, os.cpu_count() or 1, blocks))
-
-
 def clear_block_cache() -> None:
     """Drop every cached block; the next estimate draws its normals again."""
     with _cache_lock:
         _cache.clear()
-
-
-def _trim(incoming: int) -> None:
-    """Evict least recently used blocks until `incoming` more fit."""
-    while _cache and len(_cache) + incoming > CACHE_BLOCKS:
-        _cache.popitem(last=False)
 
 
 def _draw(key: tuple[int, int, int]) -> np.ndarray:
@@ -124,29 +107,22 @@ def _draw(key: tuple[int, int, int]) -> np.ndarray:
 def _blocks(plan: SimulationPlan, spans) -> list[np.ndarray]:
     """The normals of each span, drawing only the blocks not cached.
 
-    Missing blocks are drawn on a thread pool; this thread inserts them, so
-    the pool never touches the cache.
+    Missing blocks are drawn on the calling thread under the cache lock, so
+    concurrent callers that miss the same block draw it once.
     """
     keys = [(plan.seed, index, length) for index, length in spans]
     with _cache_lock:
-        found = {key: _cache[key] for key in keys if key in _cache}
-        for key in found:
-            _cache.move_to_end(key)
-        missing = [key for key in keys if key not in found]
-        # evict before drawing, so old and new blocks never exceed the bound
-        _trim(len(missing))
-    if missing:
-        workers = _worker_count(plan, len(missing))
-        if workers == 1 or len(missing) == 1:
-            drawn = [_draw(key) for key in missing]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                drawn = list(pool.map(_draw, missing))
-        found.update(zip(missing, drawn))
-        with _cache_lock:
-            _cache.update(zip(missing, drawn))
-            _trim(0)
-    return [found[key] for key in keys]
+        for key in keys:
+            if key in _cache:
+                _cache.move_to_end(key)
+        missing = [key for key in keys if key not in _cache]
+        # evict the least recently used before drawing, so old and new
+        # blocks never exceed the bound
+        while _cache and len(_cache) + len(missing) > CACHE_BLOCKS:
+            _cache.popitem(last=False)
+        for key in missing:
+            _cache[key] = _draw(key)
+        return [_cache[key] for key in keys]
 
 
 def _collect(plan: SimulationPlan, per_block):

@@ -46,8 +46,8 @@ class ProtocolConfig:
     include_residual_epsilon: bool = False
 
     def __post_init__(self) -> None:
-        if not self.total_power > 0:
-            raise ValueError(f"total_power must be positive, got {self.total_power}")
+        if not 0 < self.total_power < math.inf:
+            raise ValueError(f"total_power must be finite and > 0, got {self.total_power}")
         if not 0.0 < self.allocation <= 1.0:
             raise ValueError(
                 f"allocation must lie in (0, 1], got {self.allocation}"

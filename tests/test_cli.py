@@ -2,6 +2,8 @@
 
 import json
 import math
+import platform
+import resource
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from secrelay import cli
 from secrelay import config as cfgfile
 from secrelay import geometry as geo
+from secrelay import montecarlo as mc
 from secrelay.config import (
     BASELINE_GROUND_RELAY,
     BASELINE_UAV_CJ,
@@ -49,7 +52,6 @@ q = 15
 [plan]
 frames = 1234
 seed = 99
-workers = 2
 
 [mode]
 baseline = uav_no_cj
@@ -93,7 +95,7 @@ def test_full_file_round_trip(tmp_path):
     assert cfg.protocol.allocation == 0.7
     assert cfg.protocol.include_residual_epsilon is True
     assert (cfg.orders.D, cfg.orders.R, cfg.orders.Q) == (30, 20, 15)
-    assert (cfg.plan.frames, cfg.plan.seed, cfg.plan.workers) == (1234, 99, 2)
+    assert (cfg.plan.frames, cfg.plan.seed) == (1234, 99)
     assert cfg.baseline == BASELINE_UAV_NO_CJ
 
 
@@ -106,6 +108,12 @@ def test_full_file_round_trip(tmp_path):
     ("[mode]\nresidual_epsilon = maybe\n", "on/off"),
     ("[mode]\nbaseline = hovercraft\n", "baseline"),
     ("[plan]\nframes = -5\n", "frames"),
+    ("[plan]\nworkers = 2\n", "unknown key"),
+    ("[protocol]\npower_dbw = 4000\n", "4000.0 dBW"),
+    ("[protocol]\npower_dbw = inf\n", "inf dBW"),
+    ("[protocol]\npower_dbw = nan\n", "nan dBW"),
+    ("[geometry]\nrelay = 0, 0, 0\n", "uav_cj geometry.*distance"),
+    ("[geometry]\neavesdropper = 10, 0, 0\n", "uav_cj geometry.*distance"),
     ("no section header", "malformed"),
 ])
 def test_rejects_bad_files(tmp_path, body, fragment):
@@ -147,6 +155,10 @@ def test_apply_overrides():
 def test_dbw_conversion():
     assert cfgfile.dbw_to_watts(20.0) == pytest.approx(100.0, rel=1e-15)
     assert cfgfile.dbw_to_watts(0.0) == 1.0
+    # 4000 dBW overflows, -4000 dBW underflows to 0 W
+    for power_dbw in (4000.0, -4000.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(ConfigError, match="dBW"):
+            cfgfile.dbw_to_watts(power_dbw)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +237,22 @@ def test_validate_asr_reports_bound_defect(tmp_path):
     assert rows[25]["analytic"] == pytest.approx(1.8725883873019562, rel=1e-12)
     assert all(r["rel_gap"] < 0 for r in report["rows"])
     assert report["gaps_decreasing"] is True
+
+
+@pytest.mark.parametrize("baseline", [BASELINE_UAV_CJ, BASELINE_UAV_NO_CJ])
+def test_validate_asr_zero_simulated_rate_fails(tmp_path, baseline):
+    # the eavesdropper sits beside the source: no frame has a secrecy rate,
+    # so the relative gap is undefined (this once divided by zero)
+    path = tmp_path / "exp.ini"
+    path.write_text("[geometry]\neavesdropper = 0.1, 0, 0\n"
+                    "relay = 9, 0, 1.5\n")
+    code = run(["validate", "asr", "--config", str(path), "--frames", "2048",
+                "--baseline", baseline, "--out", str(tmp_path)])
+    assert code == 1
+    report = json.loads((tmp_path / "validate_asr.json").read_text())
+    assert report["passed"] is False
+    assert all(r["mc_mean"] == 0.0 and r["rel_gap"] is None
+               and r["passed"] is False for r in report["rows"])
 
 
 def test_power_sweep_csv_is_byte_identical(tmp_path):
@@ -314,6 +342,43 @@ def test_config_error_exit_codes(tmp_path):
     assert run(["validate", "cp", "--config", "/no/such.ini"]) == 2
     assert run(["validate", "cp", "--truncation", "5,5"]) == 2
     assert run(["validate", "cp", "--powers", "ten"]) == 2
+    for powers in ("4000", "nan", "inf", "20,-inf"):
+        assert run(["sweep", "power", "--powers", powers]) == 2
+    for body in ("[protocol]\npower_dbw = 4000\n",
+                 "[protocol]\npower_dbw = inf\n",
+                 "[geometry]\nrelay = 0, 0, 0\n",
+                 "[geometry]\neavesdropper = 10, 0, 0\n"):
+        bad.write_text(body)
+        assert run(["sweep", "power", "--config", str(bad)]) == 2
+
+
+def test_baseline_override_checks_its_geometry(tmp_path):
+    # a relay above the source is valid; its ground-relay projection lands
+    # on the source itself
+    path = tmp_path / "exp.ini"
+    path.write_text("[geometry]\nrelay = 0, 0, 1.5\n")
+    cfg = cfgfile.load_config(str(path))
+    with pytest.raises(ConfigError, match="ground_relay geometry.*distance"):
+        cfgfile.apply_overrides(cfg, baseline=BASELINE_GROUND_RELAY)
+    assert run(["sweep", "power", "--config", str(path),
+                "--baseline", BASELINE_GROUND_RELAY]) == 2
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap")
+def test_estimator_calls_keep_their_heap_after_a_run(tmp_path):
+    # without a raised trim threshold a two-block call faulted in about
+    # 160 pages of kernel temporaries every time, or none, by heap layout
+    assert run(["sweep", "power", "--frames", "1000", "--powers", "15",
+                "--out", str(tmp_path)]) == 0
+    cfg = cfgfile.load_config(None)
+    links = cfg.build_links()
+    plan = mc.SimulationPlan(frames=2 * mc.BLOCK_FRAMES, seed=46)
+    mc.estimate_asr(cfg.protocol, links, plan)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        mc.estimate_asr(cfg.protocol, links, plan)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 20 * 20
 
 
 def test_config_file_drives_the_run(tmp_path):

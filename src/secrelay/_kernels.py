@@ -2,6 +2,8 @@
 
 The SINRs themselves come from protocol.sinrs, the one place they are
 written; this module only turns a block of normals into Rician power gains.
+The Monte Carlo engine caches those gains per block and link set, so
+frame_metrics takes them ready-made.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ def power_gains(z: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> list:
             for j in range(5)]
 
 
-def frame_metrics(z: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
-                  cfg: pr.ProtocolConfig, links: LinkSet):
-    """Per-frame (gamma_main, gamma_e1, gamma_e2) from standard normals."""
-    return pr.sinrs(cfg, links, *power_gains(z, mu, sigma),
-                    cfg.source_power, cfg.jamming_power)
+def frame_metrics(gains, cfg: pr.ProtocolConfig, links: LinkSet):
+    """Per-frame (gamma_main, gamma_e1, gamma_e2) from the five link gains,
+    in the (au, ub, ue, ae, be) order power_gains returns them."""
+    return pr.sinrs(cfg, links, *gains, cfg.source_power, cfg.jamming_power)

@@ -397,7 +397,8 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg, args.kind, powers, out_dir)
         return cmd_specfun_check(cfg, out_dir)
-    except ConfigError as exc:
+    except (ConfigError, mc.NonFiniteSinrError) as exc:
+        # a finite power whose SINRs leave double range is a bad input too
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -8,6 +8,9 @@ block order, making every estimate bit-reproducible.
 Sweeps evaluate many configurations on the same seed (common random
 numbers), so each block's normals are drawn once per process and kept in a
 small bounded cache; later calls on the same (seed, block) read them back.
+Beside the normals, each cached block keeps the per-link gains of the last
+link set evaluated on it, so consecutive calls on one link set transform
+the normals once.
 """
 
 from __future__ import annotations
@@ -25,13 +28,29 @@ from .protocol import FrameRealization, ProtocolConfig, capacity, require_noise
 
 BLOCK_FRAMES = 8192
 
-# Blocks kept by the draw cache: 16 x 8192 frames x 10 normals x 8 bytes is
-# about 10.5 MB, enough for the 13 blocks of the default 100k-frame plan.
+# Blocks kept by the draw cache: 16 x 8192 frames x (10 normals + 5 gains)
+# x 8 bytes is about 15.7 MB, enough for the 13 blocks of the default
+# 100k-frame plan.
 CACHE_BLOCKS = 16
 
-# (seed, block index, length) -> read-only normals of shape (length, 5, 2),
-# least recently used first. The lock guards callers on different threads.
-_cache: OrderedDict[tuple[int, int, int], np.ndarray] = OrderedDict()
+
+@dataclass
+class _Block:
+    """One cached block: its normals and the gains of the last link set.
+
+    z is read-only, of shape (length, 5, 2). gains holds five read-only
+    length-n arrays in (au, ub, ue, ae, be) order, computed from z for the
+    amplitude parameters whose bytes are link_key.
+    """
+
+    z: np.ndarray
+    link_key: bytes = b""
+    gains: tuple = ()
+
+
+# (seed, block index, length) -> _Block, least recently used first. The
+# lock guards callers on different threads.
+_cache: OrderedDict[tuple[int, int, int], _Block] = OrderedDict()
 _cache_lock = threading.Lock()
 
 
@@ -92,24 +111,46 @@ def _spans(frames: int):
 
 
 def clear_block_cache() -> None:
-    """Drop every cached block; the next estimate draws its normals again."""
+    """Drop every cached block and its gains; the next estimate draws again."""
     with _cache_lock:
         _cache.clear()
 
 
-def _draw(key: tuple[int, int, int]) -> np.ndarray:
+def _draw(key: tuple[int, int, int]) -> _Block:
     seed, index, length = key
     z = block_stream(seed, index).standard_normal((length, 5, 2))
     z.flags.writeable = False
-    return z
+    return _Block(z)
 
 
-def _blocks(plan: SimulationPlan, spans) -> list[np.ndarray]:
-    """The normals of each span, drawing only the blocks not cached.
+def _link_arrays(links: LinkSet):
+    mu = np.empty(5)
+    sigma = np.empty(5)
+    for j, link in enumerate(links.ordered()):
+        mu[j], sigma[j] = amplitude_params(link.k_factor)
+    return mu, sigma
 
-    Missing blocks are drawn on the calling thread under the cache lock, so
-    concurrent callers that miss the same block draw it once.
+
+def _gains(block: _Block, mu: np.ndarray, sigma: np.ndarray,
+           link_key: bytes) -> tuple:
+    """The block's gains for (mu, sigma), computed only on a new link set."""
+    if block.link_key != link_key:
+        gains = tuple(_kernels.power_gains(block.z, mu, sigma))
+        for g in gains:
+            g.flags.writeable = False
+        block.link_key, block.gains = link_key, gains
+    return block.gains
+
+
+def _blocks(plan: SimulationPlan, spans, links: LinkSet) -> list[tuple]:
+    """The per-link gains of each span, drawing only the blocks not cached.
+
+    Missing blocks are drawn, and gains for a link set other than the one a
+    block last saw are computed, on the calling thread under the cache lock,
+    so concurrent callers that miss the same block draw it once.
     """
+    mu, sigma = _link_arrays(links)
+    link_key = mu.tobytes() + sigma.tobytes()
     keys = [(plan.seed, index, length) for index, length in spans]
     with _cache_lock:
         for key in keys:
@@ -122,11 +163,11 @@ def _blocks(plan: SimulationPlan, spans) -> list[np.ndarray]:
             _cache.popitem(last=False)
         for key in missing:
             _cache[key] = _draw(key)
-        return [_cache[key] for key in keys]
+        return [_gains(_cache[key], mu, sigma, link_key) for key in keys]
 
 
-def _collect(plan: SimulationPlan, per_block):
-    """Run per_block(z) on each block's normals, results in block order.
+def _collect(plan: SimulationPlan, links: LinkSet, per_block):
+    """Run per_block(gains) on each block's gains, results in block order.
 
     Blocks are evaluated on the calling thread. Plans longer than the cache
     go in chunks of CACHE_BLOCKS, so no block is drawn twice per call and
@@ -136,16 +177,8 @@ def _collect(plan: SimulationPlan, per_block):
     results = []
     for start in range(0, len(spans), CACHE_BLOCKS):
         chunk = spans[start:start + CACHE_BLOCKS]
-        results += [per_block(z) for z in _blocks(plan, chunk)]
+        results += [per_block(gains) for gains in _blocks(plan, chunk, links)]
     return results
-
-
-def _link_arrays(links: LinkSet):
-    mu = np.empty(5)
-    sigma = np.empty(5)
-    for j, link in enumerate(links.ordered()):
-        mu[j], sigma[j] = amplitude_params(link.k_factor)
-    return mu, sigma
 
 
 def _nonfinite(gamma: np.ndarray) -> int:
@@ -159,9 +192,13 @@ def _nonfinite(gamma: np.ndarray) -> int:
     return int(np.count_nonzero(~np.isfinite(gamma)))
 
 
+class NonFiniteSinrError(ValueError):
+    """Frames whose SINR left double range: the powers or gains are too large."""
+
+
 def _require_finite(plan: SimulationPlan, bad: int) -> None:
     if bad:
-        raise ValueError(
+        raise NonFiniteSinrError(
             f"{bad} of {plan.frames} frames gave a non-finite SINR; the "
             "configured powers or gains leave double range"
         )
@@ -201,44 +238,41 @@ def estimate_cp(cfg: ProtocolConfig, links: LinkSet, plan: SimulationPlan) -> Es
     """Probability that the destination decodes: fraction of frames with
     main-link SINR above the transmission threshold."""
     require_noise(cfg)
-    mu, sigma = _link_arrays(links)
     delta = cfg.delta_t
 
-    def per_block(z):
-        gamma_m, _, _ = _kernels.frame_metrics(z, mu, sigma, cfg, links)
+    def per_block(gains):
+        gamma_m, _, _ = _kernels.frame_metrics(gains, cfg, links)
         return int(np.count_nonzero(gamma_m > delta)), _nonfinite(gamma_m)
 
-    return _binomial_estimate(plan, _collect(plan, per_block))
+    return _binomial_estimate(plan, _collect(plan, links, per_block))
 
 
 def estimate_sop(cfg: ProtocolConfig, links: LinkSet, plan: SimulationPlan) -> Estimate:
     """Probability of a secrecy outage: fraction of frames where the better of
     the eavesdropper's two SINRs clears the secrecy threshold."""
     require_noise(cfg)
-    mu, sigma = _link_arrays(links)
     delta = cfg.delta_e
 
-    def per_block(z):
-        _, gamma_1, gamma_2 = _kernels.frame_metrics(z, mu, sigma, cfg, links)
+    def per_block(gains):
+        _, gamma_1, gamma_2 = _kernels.frame_metrics(gains, cfg, links)
         gamma_e = np.maximum(gamma_1, gamma_2)
         return int(np.count_nonzero(gamma_e > delta)), _nonfinite(gamma_e)
 
-    return _binomial_estimate(plan, _collect(plan, per_block))
+    return _binomial_estimate(plan, _collect(plan, links, per_block))
 
 
 def estimate_asr(cfg: ProtocolConfig, links: LinkSet, plan: SimulationPlan) -> Estimate:
     """Average secrecy rate: mean clamped capacity gap in bits/s/Hz."""
     require_noise(cfg)
-    mu, sigma = _link_arrays(links)
 
-    def per_block(z):
-        gamma_m, gamma_1, gamma_2 = _kernels.frame_metrics(z, mu, sigma, cfg, links)
+    def per_block(gains):
+        gamma_m, gamma_1, gamma_2 = _kernels.frame_metrics(gains, cfg, links)
         gamma_e = np.maximum(gamma_1, gamma_2)
         rate = np.maximum(capacity(gamma_m) - capacity(gamma_e), 0.0)
         return (float(np.sum(rate)), float(np.dot(rate, rate)),
                 _nonfinite(gamma_m + gamma_e))
 
-    total, total_sq, bad = _moment_sums(_collect(plan, per_block))
+    total, total_sq, bad = _moment_sums(_collect(plan, links, per_block))
     _require_finite(plan, bad)
     return _moment_estimate(plan, total, total_sq)
 
@@ -248,13 +282,13 @@ def estimate_functional(
 ) -> Estimate:
     """Mean of an arbitrary frame functional over the same gain stream the
     metric estimators consume. The functional receives a FrameRealization
-    whose fields are length-n arrays and must return n real values."""
+    whose fields are read-only length-n arrays and must return n real
+    values."""
     require_noise(cfg)
-    mu, sigma = _link_arrays(links)
 
-    def per_block(z):
-        length = len(z)
-        frame = FrameRealization(*_kernels.power_gains(z, mu, sigma))
+    def per_block(gains):
+        length = len(gains[0])
+        frame = FrameRealization(*gains)
         values = np.asarray(functional(frame), dtype=float)
         if values.shape != (length,):
             raise ValueError(
@@ -265,7 +299,7 @@ def estimate_functional(
             return 0.0, 0.0, bad
         return float(np.sum(values)), float(np.dot(values, values)), 0
 
-    total, total_sq, bad = _moment_sums(_collect(plan, per_block))
+    total, total_sq, bad = _moment_sums(_collect(plan, links, per_block))
     if bad:
         raise ValueError(
             f"functional produced {bad} non-finite values over {plan.frames} frames"

@@ -9,6 +9,11 @@ The ergodic layer searches Monte Carlo estimates over parameter grids:
 a joint (allocation, split) search and relay placement sweeps along the
 source-destination line or the vertical axis.
 
+The per-frame allocation policy applies lambda* where nu >= 1 and
+otherwise the best allocation on the grid 0.01, 0.02, ..., 0.99, located
+from the critical points of the frame's rate curve so that only a few grid
+points are evaluated.
+
 The closed form is derived for high transmit SNR with the eavesdropper
 ratios summed rather than maximized; where those premises fail the grid
 argmax of the exact phi can sit far from lambda*. brute_force_lambda exists
@@ -36,7 +41,11 @@ CASE_NO_OPTIMUM = "no_optimum"
 CASE_HALF = "half"
 CASE_INTERIOR = "interior"
 
-_FALLBACK_GRID = np.linspace(0.01, 0.99, 99)
+# The nu < 1 fallback picks the best of the allocations 0.01, 0.02, ..., 0.99:
+# allocation k = 0 ... _FALLBACK_LAST is _FALLBACK_STEP * k + _FALLBACK_STEP,
+# bit for bit np.linspace(0.01, 0.99, 99)[k].
+_FALLBACK_STEP = 0.01
+_FALLBACK_LAST = 98
 
 
 class SinrConstants(NamedTuple):
@@ -211,15 +220,69 @@ def _rate_from_constants(allocation, consts: SinrConstants):
                       / math.log(2.0), 0.0)
 
 
+def _critical_points(consts: SinrConstants) -> list:
+    """Allocations where the policy rate can change direction, per frame.
+
+    The rate is 0.5*log2 of min(f1, f2), clamped at 0, where on branch
+    (cn, cd) = (c2, c3) or (c4, c5)
+    f = (1 + c1*a)*(1 + cd - cd*a) / (1 + cd + (cn - cd)*a).
+    Its stationary points solve
+    c1*cd*(cn - cd)*a^2 + 2*c1*cd*B*a - B*(c1*B - cn) = 0 with B = 1 + cd;
+    divided through by c1*cd*B, this is p*a^2 + 2*a - q = 0 with
+    p = (cn - cd)/B > -1, whose coefficients stay inside double range. Its
+    root -(1 + sqrt(1 + p*q))/p is negative for p > 0 and above 1/|p| > 1
+    for p < 0, so only the other root can lie in (0, 1). The branches cross
+    at a = 1 - (c4 - c2)/(c2*c5 - c4*c3). Points may be non-finite or
+    outside (0, 1); the caller clips them.
+    """
+    c1, c2, c3, c4, c5 = consts
+    points = [1.0 - (c4 - c2) / (c2 * c5 - c4 * c3)]
+    for cn, cd in ((c2, c3), (c4, c5)):
+        b = 1.0 + cd
+        p = (cn - cd) / b
+        q = (b - cn / c1) / cd
+        # the cancellation-free form of (sqrt(1 + p*q) - 1)/p, which is
+        # also the root q/2 of the linear case p = 0
+        points.append(q / (1.0 + np.sqrt(1.0 + p * q)))
+    return points
+
+
+def _grid_argmax(consts: SinrConstants) -> np.ndarray:
+    """Per frame, the allocation on the grid 0.01, 0.02, ..., 0.99 that
+    maximizes _rate_from_constants, ties to the lowest.
+
+    Between consecutive critical points (_critical_points) the rate is
+    monotone, so the maximum sits at an end of the grid or at a grid point
+    next to a critical point: only those eight candidates are evaluated.
+    Where every grid rate is clamped to 0, the first allocation wins. A
+    rate curve flat to rounding (possible at nu >> 1, never seen at
+    nu < 1) lets rounding pick the full grid's winner, which this may miss.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        below = np.floor((np.stack(_critical_points(consts)) - _FALLBACK_STEP)
+                         / _FALLBACK_STEP)
+    below = np.nan_to_num(below, nan=0.0)
+    ends = np.zeros((2, below.shape[1]))
+    ends[1] = _FALLBACK_LAST
+    index = np.clip(np.concatenate([ends, below, below + 1.0]),
+                    0, _FALLBACK_LAST).astype(np.intp)
+    # ascending, so argmax breaks ties to the lowest allocation
+    index.sort(axis=0)
+    candidates = _FALLBACK_STEP * index + _FALLBACK_STEP
+    best = np.argmax(_rate_from_constants(candidates, consts), axis=0)
+    return candidates[best, np.arange(best.size)]
+
+
 def _policy_allocations(consts: SinrConstants) -> np.ndarray:
-    """Per-frame closed-form allocation, grid fallback where nu < 1."""
+    """Per-frame allocation of the policy: the closed form 1/(1 + sqrt(nu)),
+    and where nu < 1, which leaves no interior optimum, the best allocation
+    on the grid 0.01, 0.02, ..., 0.99 (_grid_argmax)."""
     nu = np.asarray(consts.nu)
     allocation = 1.0 / (1.0 + np.sqrt(nu))
     low = nu < 1.0
     if np.any(low):
-        sub = SinrConstants(*(np.asarray(c)[low] for c in consts))
-        stacked = np.stack([_rate_from_constants(g, sub) for g in _FALLBACK_GRID])
-        allocation[low] = _FALLBACK_GRID[np.argmax(stacked, axis=0)]
+        allocation[low] = _grid_argmax(
+            SinrConstants(*(np.asarray(c)[low] for c in consts)))
     return allocation
 
 

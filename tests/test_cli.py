@@ -352,6 +352,19 @@ def test_config_error_exit_codes(tmp_path):
         assert run(["sweep", "power", "--config", str(bad)]) == 2
 
 
+def test_power_whose_sinrs_overflow_is_a_configuration_error(tmp_path, capsys):
+    # 3080 dBW is finite in watts, but 31 of the 1000 frames give a
+    # non-finite SINR; that once ended in a traceback and exit 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(["sweep", "power", "--powers", "3080", "--frames", "1000",
+                    "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "31 of 1000 frames gave a non-finite SINR" in err
+    assert run(["sweep", "power", "--powers", "3070", "--frames", "1000",
+                "--out", str(tmp_path)]) == 0
+
+
 def test_baseline_override_checks_its_geometry(tmp_path):
     # a relay above the source is valid; its ground-relay projection lands
     # on the source itself

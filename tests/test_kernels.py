@@ -29,7 +29,7 @@ def link_arrays():
 
 def run_kernel(z, cfg):
     mu, sigma = link_arrays()
-    return kr.frame_metrics(z, mu, sigma, cfg, LINKS)
+    return kr.frame_metrics(kr.power_gains(z, mu, sigma), cfg, LINKS)
 
 
 # ---------------------------------------------------------------------------

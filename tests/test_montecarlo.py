@@ -8,6 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from secrelay import _kernels
 from secrelay import channel_models as cm
 from secrelay import geometry as geo
 from secrelay import montecarlo as mc
@@ -356,9 +357,83 @@ def test_plan_longer_than_cache_draws_each_block_once_per_call(draws):
 
 def test_cached_blocks_are_read_only(draws):
     mc.estimate_cp(CFG, LINKS, mc.SimulationPlan(frames=3_000, seed=44))
-    (z,) = mc._cache.values()
+    (block,) = mc._cache.values()
     with pytest.raises(ValueError):
-        z[0, 0, 0] = 0.0
+        block.z[0, 0, 0] = 0.0
+    assert len(block.gains) == 5
+    for gains in block.gains:
+        with pytest.raises(ValueError):
+            gains[0] = 0.0
+
+
+@pytest.fixture
+def gain_calls(monkeypatch):
+    """Count _kernels.power_gains calls, starting from no cache."""
+    mc.clear_block_cache()
+    calls = Counter()
+    original = _kernels.power_gains
+
+    def counting(z, mu, sigma):
+        calls[(len(z), mu.tobytes())] += 1
+        return original(z, mu, sigma)
+
+    monkeypatch.setattr(_kernels, "power_gains", counting)
+    yield calls
+    mc.clear_block_cache()
+
+
+def test_grid_search_computes_gains_once_per_block(gain_calls):
+    # blocks of 8192, 8192 and 100 frames on one link set
+    plan = mc.SimulationPlan(frames=2 * mc.BLOCK_FRAMES + 100, seed=46)
+    axis = tuple(np.linspace(0.1, 0.9, 5))
+    opt.grid_search_opsa(CFG, LINKS, plan,
+                         opt.SweepGrid(allocation_grid=axis, split_grid=axis))
+    mu, _ = mc._link_arrays(LINKS)
+    assert gain_calls == {(mc.BLOCK_FRAMES, mu.tobytes()): 2,
+                          (100, mu.tobytes()): 1}
+
+
+def test_placement_sweep_computes_gains_once_per_block_and_position(gain_calls):
+    plan = mc.SimulationPlan(frames=mc.BLOCK_FRAMES + 100, seed=47)
+    grid = opt.SweepGrid(allocation_grid=(0.3, 0.6, 0.9),
+                         distance_grid=(0.2, 0.5, 0.8))
+    opt.placement_sweep(CFG, GEOM, plan, "horizontal", grid)
+    # each position moves the relay and with it the Rice factors
+    assert len(gain_calls) == 6
+    assert set(gain_calls.values()) == {1}
+
+
+def test_switching_link_sets_recomputes_the_gains(gain_calls):
+    plan = mc.SimulationPlan(frames=3_000, seed=48)
+    other = cm.build_links(geo.move_relay(GEOM, along=0.7), ENV)
+    first = mc.estimate_asr(CFG, LINKS, plan)
+    moved = mc.estimate_asr(CFG, other, plan)
+    assert mc.estimate_asr(CFG, LINKS, plan) == first
+    assert sum(gain_calls.values()) == 3
+    mc.clear_block_cache()
+    assert mc.estimate_asr(CFG, other, plan) == moved
+
+
+def test_clear_block_cache_drops_the_gains(gain_calls):
+    plan = mc.SimulationPlan(frames=3_000, seed=49)
+    mc.estimate_cp(CFG, LINKS, plan)
+    mc.estimate_sop(CFG, LINKS, plan)
+    assert sum(gain_calls.values()) == 1
+    mc.clear_block_cache()
+    assert not mc._cache
+    mc.estimate_cp(CFG, LINKS, plan)
+    assert sum(gain_calls.values()) == 2
+
+
+def test_functional_gets_read_only_gains():
+    plan = mc.SimulationPlan(frames=1_000, seed=0)
+
+    def writes(frame):
+        frame.s_au[0] = 1.0
+        return np.ones_like(frame.s_au)
+
+    with pytest.raises(ValueError, match="read-only"):
+        mc.estimate_functional(CFG, LINKS, plan, writes)
 
 
 def test_block_missed_by_two_callers_is_drawn_once(draws, monkeypatch):

@@ -5,9 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from secrelay import channel_models as cm
+from secrelay import config as cfgfile
 from secrelay import geometry as geo
 from secrelay import montecarlo as mc
 from secrelay import optimize as opt
@@ -312,6 +313,105 @@ def test_policy_estimate_frozen():
     assert est.std_error == pytest.approx(POLICY_SE, rel=1e-9)
     share = opt.allocation_policy_fallback_share(CFG20, LINKS, plan)
     assert share == pytest.approx(POLICY_FALLBACK_SHARE, abs=1e-12)
+
+
+# The 99-point argmax that the policy fallback must reproduce frame for frame.
+FULL_GRID = np.linspace(0.01, 0.99, 99)
+
+
+def full_grid_argmax(consts):
+    rates = np.stack([opt._rate_from_constants(g, consts) for g in FULL_GRID])
+    return FULL_GRID[np.argmax(rates, axis=0)]
+
+
+def low_nu(consts):
+    keep = np.asarray(consts.nu) < 1.0
+    return opt.SinrConstants(*(np.asarray(c)[keep] for c in consts))
+
+
+def constants(*columns):
+    return opt.SinrConstants(*(np.asarray(c, dtype=float) for c in columns))
+
+
+def test_fallback_matches_full_grid_on_placement_frames():
+    # every nu < 1 frame of `sweep placement` on the default config at
+    # 16384 frames, seeds 0-3, read through the estimator's own gains
+    cfg = cfgfile.load_config(None)
+    protocol = cfg.effective_protocol()
+    geometry = cfg.effective_geometry()
+    parts = []
+    for seed in range(4):
+        plan = mc.SimulationPlan(frames=16384, seed=seed)
+        for along in opt.SweepGrid().distance_grid:
+            links = cm.build_links(geo.move_relay(geometry, along=along),
+                                   cfg.environment)
+
+            def grab(frame, links=links):
+                parts.append(low_nu(opt.sinr_constants(protocol, frame, links)))
+                return np.zeros(frame.s_au.size)
+
+            mc.estimate_functional(protocol, links, plan, grab)
+    consts = opt.SinrConstants(*(np.concatenate(c) for c in zip(*parts)))
+    assert consts.c1.size == 609_785
+    np.testing.assert_array_equal(opt._policy_allocations(consts),
+                                  full_grid_argmax(consts))
+
+
+@pytest.mark.parametrize("decades", [60, 150])
+def test_fallback_matches_full_grid_on_log_uniform_constants(decades):
+    # an unnormalized stationary quadratic overflowed on hundreds of these
+    exponents = np.random.default_rng(decades).uniform(
+        -decades, decades, size=(5, 200_000))
+    consts = low_nu(constants(*10.0 ** exponents))
+    assert consts.c1.size > 40_000
+    np.testing.assert_array_equal(opt._policy_allocations(consts),
+                                  full_grid_argmax(consts))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(*[st.floats(-150.0, 150.0)] * 5),
+                min_size=1, max_size=32))
+def test_fallback_matches_full_grid_property(exponents):
+    consts = low_nu(constants(*10.0 ** np.array(exponents).T))
+    assume(consts.c1.size > 0)
+    np.testing.assert_array_equal(opt._policy_allocations(consts),
+                                  full_grid_argmax(consts))
+
+
+@pytest.mark.parametrize("linear_branch", [0, 1])
+def test_grid_argmax_with_linear_stationary_equation(linear_branch):
+    # cn == cd drops the quadratic term of that branch; nu >= 1 then, so
+    # the policy never sends such a frame to the fallback, but the
+    # argmax itself holds for any constants
+    c1 = np.logspace(-2, 4, 61)
+    cn = np.full_like(c1, 2.0)
+    other = (np.full_like(c1, 0.1), np.full_like(c1, 5.0))
+    branches = [(cn, cn), other] if linear_branch == 0 else [other, (cn, cn)]
+    consts = constants(c1, *branches[0], *branches[1])
+    want = full_grid_argmax(consts)
+    assert np.any((want > 0.01) & (want < 0.99))
+    np.testing.assert_array_equal(opt._grid_argmax(consts), want)
+
+
+def test_fallback_with_crossing_outside_unit_interval():
+    c1 = np.logspace(-2, 4, 61)
+    consts = constants(c1, *np.broadcast_arrays(0.5, 2.0, 0.05, 0.3, c1)[:4])
+    assert np.all(consts.nu < 1.0)
+    crossing = opt._critical_points(consts)[0]
+    assert np.all((crossing < 0.0) | (crossing > 1.0))
+    want = full_grid_argmax(consts)
+    assert np.any((want > 0.01) & (want < 0.99))
+    np.testing.assert_array_equal(opt._policy_allocations(consts), want)
+
+
+def test_fallback_zero_rate_everywhere_picks_first_allocation():
+    # the eavesdropper beats the destination at every allocation
+    consts = constants([1e-3, 1e-9], [1.0, 1.0], [10.0, 10.0],
+                       [1e-3, 1e-3], [10.0, 10.0])
+    assert np.all(consts.nu < 1.0)
+    rates = np.stack([opt._rate_from_constants(g, consts) for g in FULL_GRID])
+    assert np.all(rates == 0.0)
+    np.testing.assert_array_equal(opt._policy_allocations(consts), [0.01, 0.01])
 
 
 def replayed_policy_mean(cfg, plan):

@@ -34,33 +34,6 @@ _NEG_INF = float("-inf")
 
 
 @dataclass(frozen=True)
-class NoncentralityParams:
-    """Noncentrality of the 2-DOF chi-square view of each squared-Rician gain."""
-
-    lambda_au: float
-    lambda_ub: float
-    lambda_ue: float
-
-    def __post_init__(self) -> None:
-        for name in ("lambda_au", "lambda_ub", "lambda_ue"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-
-    @property
-    def lambda_bu(self) -> float:
-        """The destination-relay direction reuses the relay-destination K."""
-        return self.lambda_ub
-
-
-def noncentrality_params(links: LinkSet) -> NoncentralityParams:
-    return NoncentralityParams(
-        lambda_au=2.0 * links.au.k_factor,
-        lambda_ub=2.0 * links.ub.k_factor,
-        lambda_ue=2.0 * links.ue.k_factor,
-    )
-
-
-@dataclass(frozen=True)
 class SeriesAuxiliaries:
     """Constants of the eavesdropper-branch series, fixed by (config, links).
 
@@ -77,14 +50,10 @@ class SeriesAuxiliaries:
     b: float
     b_tilde: float
     c_tilde: float
-    b1: float
-    b2: float
-    b3: float
     c1: float
 
     def __post_init__(self) -> None:
-        for name in ("a1", "a2", "a3", "a", "b", "b_tilde", "c_tilde",
-                     "b1", "b2", "b3", "c1"):
+        for name in ("a1", "a2", "a3", "a", "b", "b_tilde", "c_tilde", "c1"):
             value = getattr(self, name)
             if not value >= 0.0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
@@ -112,9 +81,6 @@ def series_auxiliaries(cfg: ProtocolConfig, links: LinkSet) -> SeriesAuxiliaries
         b=b,
         b_tilde=0.5 * b + k_ub + 1.0,
         c_tilde=math.sqrt(k_ub * (1.0 + k_ub)),
-        b1=k_ue + 1.0,
-        b2=2.0 * (k_ue + 1.0) * a3,
-        b3=2.0 * (k_ue + 1.0) * a2,
         c1=k_ue * (1.0 + k_ue),
     )
 
@@ -421,20 +387,19 @@ def _log_main_sinr_proxy(
     zeta, n0 = cfg.processing_noise_ratio, cfg.noise_power
     k_au, k_ub = links.au.k_factor, links.ub.k_factor
     l_au, l_ub = links.au.large_scale_gain, links.ub.large_scale_gain
-    nc = noncentrality_params(links)
     shift = (1.0 - beta) / (eta * beta * (1.0 - beta + zeta) * l_ub)
     t1 = (math.log((1.0 - beta) * cfg.source_power * l_au / ((1.0 - beta + zeta) * n0))
-          + sf.log_moment_ncx2(nc.lambda_au, 0.0, "series", order)
-          + sf.log_moment_ncx2(nc.lambda_ub, 0.0, "series", order))
+          + sf.log_moment_ncx2(2.0 * k_au, 0.0, "series", order)
+          + sf.log_moment_ncx2(2.0 * k_ub, 0.0, "series", order))
     if scale_corrected:
         # E ln S = g1(2K) - ln(2(1+K)); the relay-side log cancels against
         # rescaling the denominator shift, leaving the source-side offset
         t1 -= sf.log_moment_ncx2(
-            nc.lambda_ub, 2.0 * (1.0 + k_ub) * shift, "series", order
+            2.0 * k_ub, 2.0 * (1.0 + k_ub) * shift, "series", order
         )
         t1 -= math.log(2.0 * (1.0 + k_au))
     else:
-        t1 -= sf.log_moment_ncx2(nc.lambda_ub, shift, "series", order)
+        t1 -= sf.log_moment_ncx2(2.0 * k_ub, shift, "series", order)
     return t1
 
 
@@ -454,9 +419,10 @@ def _mean_eve_sinr_proxy(
                + eta * beta * (1.0 - beta + zeta) * l_ue * n0
                + (1.0 - beta) * n0)
     else:
-        # chi-square means lambda + 2 stand in for the gains, losses dropped
-        nc = noncentrality_params(links)
-        m_au, m_ub, m_ue = nc.lambda_au + 2.0, nc.lambda_ub + 2.0, nc.lambda_ue + 2.0
+        # chi-square means 2K + 2 stand in for the gains, losses dropped
+        m_au, m_ub, m_ue = (2.0 * links.au.k_factor + 2.0,
+                            2.0 * links.ub.k_factor + 2.0,
+                            2.0 * links.ue.k_factor + 2.0)
         num = eta * beta * (1.0 - beta) * p_a * m_au * m_ue
         den = (eta * beta * (1.0 - beta) * p_b * m_ub * m_ue
                + eta * beta * (1.0 - beta + zeta) * m_ue * n0

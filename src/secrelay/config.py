@@ -1,7 +1,8 @@
 """Experiment configuration: one key-value-group text file to runnable objects.
 
-The file format is INI: each section is a group, every key is optional, and
-defaults reproduce the reference drop (10-unit source-destination separation,
+The file format is INI: each section is a group, and every key is optional.
+A key left out keeps the default of the dataclass field it sets; together
+they reproduce the reference drop (10-unit source-destination separation,
 relay at (2, 0, 1.5), eavesdropper at (8, 1, 0), 20 dBW, even splits, 1e5
 frames). Unknown sections or keys are hard errors, so typos cannot silently
 fall back to defaults. Power enters in dBW, as on every figure axis, and is
@@ -10,7 +11,9 @@ converted to linear watts exactly once, here.
 
 from __future__ import annotations
 
+import collections
 import configparser
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -103,18 +106,6 @@ class ExperimentConfig:
         return cm.build_links(self.effective_geometry(), self.environment)
 
 
-_SECTION_KEYS = {
-    "geometry": {"source", "destination", "eavesdropper", "relay"},
-    "environment": {"alpha_los", "alpha_nlos", "omega1", "omega2",
-                    "kappa_min", "kappa_max"},
-    "protocol": {"power_dbw", "allocation", "power_split",
-                 "harvester_efficiency", "processing_noise_ratio",
-                 "noise_power", "rate_t", "rate_s"},
-    "truncation": {"d", "r", "q"},
-    "plan": {"frames", "seed"},
-    "mode": {"baseline", "residual_epsilon", "k_factor"},
-}
-
 _BOOL_WORDS = {"on": True, "true": True, "yes": True, "1": True,
                "off": False, "false": False, "no": False, "0": False}
 
@@ -130,18 +121,55 @@ def _node(text: str, where: str) -> geo.NodePosition:
     return geo.NodePosition(x, y, z)
 
 
-def _convert(raw: str, caster, where: str):
+def _cast(caster, raw: str, where: str):
     try:
         return caster(raw)
     except ValueError:
         raise ConfigError(f"{where} = {raw!r} is not a valid value") from None
 
 
+_float = functools.partial(_cast, float)
+_int = functools.partial(_cast, int)
+
+
+def _watts(raw: str, where: str) -> float:
+    return dbw_to_watts(_float(raw, where))
+
+
+def _word(raw: str, where: str) -> str:
+    return raw.strip().lower()
+
+
 def _bool_word(raw: str, where: str) -> bool:
-    word = raw.strip().lower()
+    word = _word(raw, where)
     if word not in _BOOL_WORDS:
         raise ConfigError(f"{where} must be on/off, got {raw!r}")
     return _BOOL_WORDS[word]
+
+
+# [section] key -> (ExperimentConfig field, dataclass field, parser). A key
+# the file leaves out keeps its dataclass default; "experiment" is the
+# ExperimentConfig itself.
+_KEYS = {
+    "geometry": {name: ("geometry", name, _node) for name in
+                 ("source", "destination", "eavesdropper", "relay")},
+    "environment": {name: ("environment", name, _float) for name in
+                    ("alpha_los", "alpha_nlos", "omega1", "omega2",
+                     "kappa_min", "kappa_max")},
+    "protocol": {
+        "power_dbw": ("protocol", "total_power", _watts),
+        **{name: ("protocol", name, _float) for name in
+           ("allocation", "power_split", "harvester_efficiency",
+            "processing_noise_ratio", "noise_power", "rate_t", "rate_s")},
+    },
+    "truncation": {name.lower(): ("orders", name, _int) for name in "DRQ"},
+    "plan": {name: ("plan", name, _int) for name in ("frames", "seed")},
+    "mode": {
+        "baseline": ("experiment", "baseline", _word),
+        "residual_epsilon": ("protocol", "include_residual_epsilon", _bool_word),
+        "k_factor": ("environment", "k_factor_interpretation", _word),
+    },
+}
 
 
 def load_config(path: str | None = None) -> ExperimentConfig:
@@ -156,73 +184,32 @@ def load_config(path: str | None = None) -> ExperimentConfig:
             raise ConfigError(f"cannot read config file: {exc}") from None
         except configparser.Error as exc:
             raise ConfigError(f"malformed config file: {exc}") from None
+        # every name is checked before any value is parsed
         for name in parser.sections():
-            if name not in _SECTION_KEYS:
+            if name not in _KEYS:
                 raise ConfigError(f"unknown config section [{name}]")
             sections[name] = dict(parser.items(name))
-            unknown = set(sections[name]) - _SECTION_KEYS[name]
+            unknown = set(sections[name]) - set(_KEYS[name])
             if unknown:
                 raise ConfigError(
                     f"unknown key(s) in [{name}]: {', '.join(sorted(unknown))}"
                 )
 
-    def get(section: str, key: str, caster, default):
-        raw = sections.get(section, {}).get(key)
-        if raw is None:
-            return default
-        return _convert(raw, caster, f"[{section}] {key}")
-
-    g = sections.get("geometry", {})
-    base = default_geometry()
-    geometry = geo.NetworkGeometry(
-        source=_node(g["source"], "[geometry] source") if "source" in g else base.source,
-        destination=(_node(g["destination"], "[geometry] destination")
-                     if "destination" in g else base.destination),
-        eavesdropper=(_node(g["eavesdropper"], "[geometry] eavesdropper")
-                      if "eavesdropper" in g else base.eavesdropper),
-        relay=_node(g["relay"], "[geometry] relay") if "relay" in g else base.relay,
-    )
-
-    k_factor = get("mode", "k_factor", str, geo.K_FACTOR_LINEAR).strip().lower()
+    fields: dict[str, dict] = collections.defaultdict(dict)
     try:
-        environment = geo.Environment(
-            alpha_los=get("environment", "alpha_los", float, 2.0),
-            alpha_nlos=get("environment", "alpha_nlos", float, 3.5),
-            omega1=get("environment", "omega1", float, 0.28),
-            omega2=get("environment", "omega2", float, 9.61),
-            kappa_min=get("environment", "kappa_min", float, 1.0),
-            kappa_max=get("environment", "kappa_max", float, 10.0),
-            k_factor_interpretation=k_factor,
-        )
-        power_dbw = get("protocol", "power_dbw", float, DEFAULT_POWER_DBW)
-        residual_raw = sections.get("mode", {}).get("residual_epsilon")
-        protocol = pr.ProtocolConfig(
-            total_power=dbw_to_watts(power_dbw),
-            allocation=get("protocol", "allocation", float, 0.5),
-            power_split=get("protocol", "power_split", float, 0.5),
-            harvester_efficiency=get("protocol", "harvester_efficiency", float, 0.7),
-            processing_noise_ratio=get("protocol", "processing_noise_ratio",
-                                       float, 2.0),
-            noise_power=get("protocol", "noise_power", float, 1e-2),
-            rate_t=get("protocol", "rate_t", float, 0.5),
-            rate_s=get("protocol", "rate_s", float, 0.2),
-            include_residual_epsilon=(
-                _bool_word(residual_raw, "[mode] residual_epsilon")
-                if residual_raw is not None else False),
-        )
-        orders = sf.TruncationOrders(
-            D=get("truncation", "d", int, 25),
-            R=get("truncation", "r", int, 25),
-            Q=get("truncation", "q", int, 25),
-        )
-        plan = mc.SimulationPlan(
-            frames=get("plan", "frames", int, 100_000),
-            seed=get("plan", "seed", int, 0),
-        )
+        for section, values in sections.items():
+            for key, raw in values.items():
+                target, field, parse = _KEYS[section][key]
+                fields[target][field] = parse(raw, f"[{section}] {key}")
         return ExperimentConfig(
-            geometry=geometry, environment=environment, protocol=protocol,
-            orders=orders, plan=plan,
-            baseline=get("mode", "baseline", str, BASELINE_UAV_CJ).strip().lower(),
+            geometry=replace(default_geometry(), **fields["geometry"]),
+            environment=geo.Environment(**fields["environment"]),
+            protocol=pr.ProtocolConfig(**{
+                "total_power": dbw_to_watts(DEFAULT_POWER_DBW),
+                **fields["protocol"]}),
+            orders=sf.TruncationOrders(**fields["orders"]),
+            plan=mc.SimulationPlan(**fields["plan"]),
+            **fields["experiment"],
         )
     except ConfigError:
         raise

@@ -375,7 +375,7 @@ def _marcum_q1_truncated(a: float, b: float, order: int) -> float:
         d, u = np.arange(d_top + 1), np.zeros(d_top + 1, dtype=int)
     else:
         d, u = np.tril_indices(d_top + 1)
-    w_d = t[order + d] + (1 - 2 * d) * math.log(order) - t[order - d + 1] - t[d + 1]
+    w_d = log_series_weight(order, d) - t[d + 1]
     log_terms = w_d - t[u + 1] - (d + u) * LN2 + expo
     # the d = 0 and u = 0 terms gain a signed zero, which moves no bit
     if a != 0.0:

@@ -99,19 +99,6 @@ def zero_delta_e_config():
 # domain types
 
 
-def test_noncentrality_params_from_links():
-    nc = an.noncentrality_params(LINKS)
-    assert nc.lambda_au == pytest.approx(2.0 * LINKS.au.k_factor, rel=1e-15)
-    assert nc.lambda_ub == pytest.approx(4.1239310552310275, rel=1e-12)
-    assert nc.lambda_ue == pytest.approx(4.77053375215241, rel=1e-12)
-    assert nc.lambda_bu == nc.lambda_ub
-
-
-def test_noncentrality_params_rejects_negative():
-    with pytest.raises(ValueError, match="lambda_ue"):
-        an.NoncentralityParams(lambda_au=1.0, lambda_ub=1.0, lambda_ue=-0.1)
-
-
 def test_series_auxiliaries_definitions():
     cfg = cfg_at(20, lam=0.7)
     aux = an.series_auxiliaries(cfg, LINKS)
@@ -131,17 +118,13 @@ def test_series_auxiliaries_definitions():
     assert aux.b == pytest.approx(2.0 * (1.0 + k_au) * want_a1, rel=1e-14)
     assert aux.b_tilde == pytest.approx(0.5 * aux.b + k_ub + 1.0, rel=1e-15)
     assert aux.c_tilde == pytest.approx(math.sqrt(k_ub * (1.0 + k_ub)), rel=1e-15)
-    assert aux.b1 == pytest.approx(k_ue + 1.0, rel=1e-15)
-    assert aux.b2 == pytest.approx(2.0 * (k_ue + 1.0) * want_a3, rel=1e-14)
-    assert aux.b3 == pytest.approx(2.0 * (k_ue + 1.0) * want_a2, rel=1e-14)
     assert aux.c1 == pytest.approx(k_ue * (1.0 + k_ue), rel=1e-15)
 
 
 def test_series_auxiliaries_rejects_negative():
     with pytest.raises(ValueError, match="a2"):
         an.SeriesAuxiliaries(a1=0.0, a2=-1.0, a3=0.0, a=0.0, b=0.0,
-                             b_tilde=1.0, c_tilde=0.0, b1=1.0, b2=0.0,
-                             b3=0.0, c1=0.0)
+                             b_tilde=1.0, c_tilde=0.0, c1=0.0)
 
 
 # ---------------------------------------------------------------------------

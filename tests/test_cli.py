@@ -2,7 +2,9 @@
 
 import json
 import math
+import pathlib
 import platform
+import re
 import resource
 
 import numpy as np
@@ -12,6 +14,8 @@ from secrelay import cli
 from secrelay import config as cfgfile
 from secrelay import geometry as geo
 from secrelay import montecarlo as mc
+from secrelay import protocol as pr
+from secrelay import specfun as sf
 from secrelay.config import (
     BASELINE_GROUND_RELAY,
     BASELINE_UAV_CJ,
@@ -21,7 +25,7 @@ from secrelay.config import (
 
 FULL_INI = """
 [geometry]
-source = 0 0 0
+source = 1 0 0
 destination = 12, 0, 0
 eavesdropper = 9 2 0
 relay = 3 0 2
@@ -85,18 +89,37 @@ def test_defaults_without_file():
 def test_full_file_round_trip(tmp_path):
     path = tmp_path / "exp.ini"
     path.write_text(FULL_INI)
-    cfg = cfgfile.load_config(str(path))
-    assert cfg.geometry.destination == geo.NodePosition(12.0, 0.0, 0.0)
-    assert cfg.geometry.relay == geo.NodePosition(3.0, 0.0, 2.0)
-    assert cfg.environment.alpha_los == 2.1
-    assert cfg.environment.kappa_max == 12.0
-    assert cfg.environment.k_factor_interpretation == geo.K_FACTOR_DECIBEL
-    assert cfg.protocol.total_power == pytest.approx(10.0 ** 2.5, rel=1e-15)
-    assert cfg.protocol.allocation == 0.7
-    assert cfg.protocol.include_residual_epsilon is True
-    assert (cfg.orders.D, cfg.orders.R, cfg.orders.Q) == (30, 20, 15)
-    assert (cfg.plan.frames, cfg.plan.seed) == (1234, 99)
-    assert cfg.baseline == BASELINE_UAV_NO_CJ
+    # every one of the 26 keys is set away from its default
+    assert cfgfile.load_config(str(path)) == cfgfile.ExperimentConfig(
+        geometry=geo.NetworkGeometry(
+            source=geo.NodePosition(1.0, 0.0, 0.0),
+            destination=geo.NodePosition(12.0, 0.0, 0.0),
+            eavesdropper=geo.NodePosition(9.0, 2.0, 0.0),
+            relay=geo.NodePosition(3.0, 0.0, 2.0),
+        ),
+        environment=geo.Environment(
+            alpha_los=2.1, alpha_nlos=3.6, omega1=0.3, omega2=9.0,
+            kappa_min=2.0, kappa_max=12.0,
+            k_factor_interpretation=geo.K_FACTOR_DECIBEL,
+        ),
+        protocol=pr.ProtocolConfig(
+            total_power=10.0 ** 2.5, allocation=0.7, power_split=0.6,
+            harvester_efficiency=0.8, processing_noise_ratio=1.5,
+            noise_power=0.02, rate_t=0.4, rate_s=0.1,
+            include_residual_epsilon=True,
+        ),
+        orders=sf.TruncationOrders(D=30, R=20, Q=15),
+        plan=mc.SimulationPlan(frames=1234, seed=99),
+        baseline=BASELINE_UAV_NO_CJ,
+    )
+
+
+def test_readme_config_block_loads_to_the_defaults(tmp_path):
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"```ini\n(.*?)```", readme.read_text(), re.S).group(1)
+    path = tmp_path / "readme.ini"
+    path.write_text(block)
+    assert cfgfile.load_config(str(path)) == cfgfile.load_config(None)
 
 
 @pytest.mark.parametrize("body,fragment", [
@@ -105,10 +128,13 @@ def test_full_file_round_trip(tmp_path):
     ("[protocol]\nallocation = high\n", "not a valid value"),
     ("[geometry]\nrelay = 1 2\n", "three coordinates"),
     ("[geometry]\nrelay = a b c\n", "non-numeric"),
+    ("[geometry]\nrelay = 2 0 -1\n", "altitude must be >= 0"),
     ("[mode]\nresidual_epsilon = maybe\n", "on/off"),
     ("[mode]\nbaseline = hovercraft\n", "baseline"),
     ("[plan]\nframes = -5\n", "frames"),
     ("[plan]\nworkers = 2\n", "unknown key"),
+    # names are checked before values, whatever the section order
+    ("[protocol]\nallocation = high\n[plan]\nworkers = 2\n", "unknown key"),
     ("[protocol]\npower_dbw = 4000\n", "4000.0 dBW"),
     ("[protocol]\npower_dbw = inf\n", "inf dBW"),
     ("[protocol]\npower_dbw = nan\n", "nan dBW"),

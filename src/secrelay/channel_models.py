@@ -88,15 +88,6 @@ def rician_power_gain(mu, sigma, g1, g2):
     return amp * amp + (sigma * g2) ** 2
 
 
-def _log_bessel_i0(z: float) -> float:
-    if z <= 600.0:
-        return math.log(specfun.bessel_i(0.0, z))
-    # Hankel expansion; five terms reach double precision for z > 600.
-    u = 1.0 / (8.0 * z)
-    tail = 1.0 + u * (1.0 + u * (4.5 + u * (37.5 + u * 459.375)))
-    return z - 0.5 * math.log(2.0 * math.pi * z) + math.log(tail)
-
-
 def _validated_gains(x) -> tuple[bool, np.ndarray]:
     scalar = np.isscalar(x)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -117,10 +108,16 @@ def squared_rician_pdf(x, k_factor: float):
     scalar, xs = _validated_gains(x)
     kp1 = k_factor + 1.0
     log_pref = math.log(kp1) - k_factor
-    out = np.empty(xs.shape)
-    for idx, xi in np.ndenumerate(xs):
-        z = 2.0 * math.sqrt(k_factor * kp1 * xi)
-        out[idx] = math.exp(log_pref - kp1 * xi + _log_bessel_i0(z))
+    z = 2.0 * np.sqrt(k_factor * kp1 * xs)
+    near = z <= 600.0
+    log_i0 = np.empty(z.shape)
+    log_i0[near] = np.log(specfun.bessel_i(0.0, z[near]))
+    # Hankel expansion; five terms reach double precision for z > 600.
+    far = z[~near]
+    u = 1.0 / (8.0 * far)
+    tail = 1.0 + u * (1.0 + u * (4.5 + u * (37.5 + u * 459.375)))
+    log_i0[~near] = far - 0.5 * np.log(2.0 * math.pi * far) + np.log(tail)
+    out = np.exp(log_pref - kp1 * xs + log_i0)
     return float(out[0]) if scalar else out
 
 

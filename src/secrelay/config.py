@@ -4,9 +4,9 @@ The file format is INI: each section is a group, and every key is optional.
 A key left out keeps the default of the dataclass field it sets; together
 they reproduce the reference drop (10-unit source-destination separation,
 relay at (2, 0, 1.5), eavesdropper at (8, 1, 0), 20 dBW, even splits, 1e5
-frames). Unknown sections or keys are hard errors, so typos cannot silently
-fall back to defaults. Power enters in dBW, as on every figure axis, and is
-converted to linear watts exactly once, here.
+frames). Unknown sections or keys, and keys under [DEFAULT], are hard errors,
+so typos cannot silently fall back to defaults. Power enters in dBW, as on
+every figure axis, and is converted to linear watts exactly once, here.
 """
 
 from __future__ import annotations
@@ -118,7 +118,10 @@ def _node(text: str, where: str) -> geo.NodePosition:
         x, y, z = (float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"{where} has a non-numeric coordinate: {text!r}") from None
-    return geo.NodePosition(x, y, z)
+    try:
+        return geo.NodePosition(x, y, z)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _cast(caster, raw: str, where: str):
@@ -184,7 +187,13 @@ def load_config(path: str | None = None) -> ExperimentConfig:
             raise ConfigError(f"cannot read config file: {exc}") from None
         except configparser.Error as exc:
             raise ConfigError(f"malformed config file: {exc}") from None
-        # every name is checked before any value is parsed
+        # every name is checked before any value is parsed; configparser
+        # would copy [DEFAULT] keys into every section, or drop them unread
+        if parser.defaults():
+            raise ConfigError(
+                "keys under [DEFAULT] are not allowed: "
+                f"{', '.join(sorted(parser.defaults()))}"
+            )
         for name in parser.sections():
             if name not in _KEYS:
                 raise ConfigError(f"unknown config section [{name}]")

@@ -124,14 +124,19 @@ def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def panel_quadrature(f, edges, points: int = 32) -> float:
-    """Integrate a vectorized callable over consecutive [edges[i], edges[i+1]] panels."""
+    """Integrate an elementwise callable over consecutive [edges[i], edges[i+1]] panels.
+
+    ``f`` is called once, on the (panels x points) node matrix. Each row is
+    reduced on its own and the panel totals are added in panel order.
+    """
     x, w = _gl_rule(points)
     edges = np.asarray(edges, dtype=float)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    sums = np.sum(w * f(mid[:, None] + half[:, None] * x), axis=1)
     total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        mid = 0.5 * (b + a)
-        total += half * float(np.sum(w * f(mid + half * x)))
+    for h, s in zip(half, sums):
+        total += h * float(s)
     return total
 
 
@@ -147,17 +152,19 @@ def _dyadic_edges(upper: float, splits: int = 54) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # modified Bessel I
 
-def bessel_i(nu: float, x: float, mode: str = "exact", order: int | None = None) -> float:
+def bessel_i(nu: float, x, mode: str = "exact", order: int | None = None):
     """Modified Bessel function of the first kind, order nu >= 0, x >= 0.
 
-    Exact mode sums the ascending series adaptively. Truncated mode (order-0
-    only) evaluates the finite surrogate of depth ``order`` that the metric
-    series inherit their weights from.
+    Exact mode sums the ascending series adaptively; ``x`` may be an array
+    there. Truncated mode (order-0 only, scalar x) evaluates the finite
+    surrogate of depth ``order`` that the metric series inherit their
+    weights from.
     """
-    if nu < 0 or x < 0:
+    if nu < 0 or np.any(np.asarray(x) < 0):
         raise ValueError(f"bessel_i requires nu >= 0 and x >= 0, got nu={nu}, x={x}")
     if mode == "exact":
-        return _bessel_i_exact(nu, x)
+        value = _bessel_i_series(nu, x)
+        return float(value) if np.ndim(x) == 0 else value
     if mode == "truncated":
         if nu != 0:
             raise ValueError("truncated mode is defined for order nu = 0 only")
@@ -167,19 +174,36 @@ def bessel_i(nu: float, x: float, mode: str = "exact", order: int | None = None)
     raise ValueError(f"unknown bessel_i mode {mode!r}")
 
 
-def _bessel_i_exact(nu: float, x: float) -> float:
-    if x > _LOG_HUGE:
-        raise SeriesOverflowError(f"bessel_i({nu}, {x}) exceeds double range")
+def _bessel_i_series(nu: float, x) -> np.ndarray:
+    """Ascending series of I_nu at every element of x >= 0.
+
+    Each element runs the operations of the scalar series loop. Past
+    k > x/2 its terms only shrink, so once a term is at most 1e-17 of its
+    total, under half an ulp, no later term moves a bit: the sum stops when
+    that holds for every element, and an element that got there early keeps
+    its bits through the terms it takes while the others converge.
+    """
+    x = np.asarray(x, dtype=float)
+    if np.any(x > _LOG_HUGE):
+        raise SeriesOverflowError(
+            f"bessel_i({nu}, {x.max()}) exceeds double range")
     half = 0.5 * x
-    if half == 0.0:  # includes denormals whose half underflows
-        return 1.0 if nu == 0 else 0.0
-    term = math.exp(nu * math.log(half) - math.lgamma(nu + 1.0))
-    total = term
+    if nu == 0:
+        # exp(0 * ln(half) - lgamma(1)) is exactly 1
+        term = np.ones_like(half)
+    else:
+        # math's exp and log, not numpy's: the two differ in the last bit.
+        # A half that underflows (x a denormal) is the origin, I_nu = 0.
+        lg = math.lgamma(nu + 1.0)
+        term = np.array([math.exp(nu * math.log(h) - lg) if h else 0.0
+                         for h in half.flat]).reshape(half.shape)
+    total = term.copy()
     q = half * half
+    top = half.max(initial=0.0)
     for k in range(1, 20000):
         term *= q / (k * (nu + k))
         total += term
-        if term < 1e-17 * total and k > half:
+        if k > top and np.all(term <= 1e-17 * total):
             return total
     raise RuntimeError("bessel_i series failed to converge")
 
@@ -204,8 +228,8 @@ def _k0_k1_small(x: float) -> tuple[float, float]:
     q = 0.25 * x * x
     lh = math.log(0.5 * x)
     # K0 = -(ln(x/2) + gamma) I0 + sum_{k>=1} H_k q^k / (k!)^2
-    i0 = _bessel_i_exact(0.0, x)
-    i1 = _bessel_i_exact(1.0, x)
+    i0 = float(_bessel_i_series(0.0, x))
+    i1 = float(_bessel_i_series(1.0, x))
     s0 = 0.0
     term = 1.0
     h = 0.0
@@ -496,12 +520,9 @@ def _log_moment_quadrature(lam: float, b: float) -> float:
     upper = (math.sqrt(lam) + 14.0) ** 2
 
     def f(x):
-        x = np.asarray(x)
         dens = 0.5 * np.exp(-0.5 * (x + lam))
         if lam > 0:
-            arg = np.sqrt(lam * x)
-            bess = np.array([_bessel_i_exact(0.0, float(v)) for v in arg])
-            dens = dens * bess
+            dens = dens * _bessel_i_series(0.0, np.sqrt(lam * x))
         return np.log(x + b) * dens
 
     return panel_quadrature(f, _dyadic_edges(upper, splits=54), points=32)

@@ -128,7 +128,7 @@ def test_readme_config_block_loads_to_the_defaults(tmp_path):
     ("[protocol]\nallocation = high\n", "not a valid value"),
     ("[geometry]\nrelay = 1 2\n", "three coordinates"),
     ("[geometry]\nrelay = a b c\n", "non-numeric"),
-    ("[geometry]\nrelay = 2 0 -1\n", "altitude must be >= 0"),
+    ("[geometry]\nrelay = 2 0 -1\n", "relay: node altitude must be >= 0"),
     ("[mode]\nresidual_epsilon = maybe\n", "on/off"),
     ("[mode]\nbaseline = hovercraft\n", "baseline"),
     ("[plan]\nframes = -5\n", "frames"),
@@ -141,6 +141,9 @@ def test_readme_config_block_loads_to_the_defaults(tmp_path):
     ("[geometry]\nrelay = 0, 0, 0\n", "uav_cj geometry.*distance"),
     ("[geometry]\neavesdropper = 10, 0, 0\n", "uav_cj geometry.*distance"),
     ("no section header", "malformed"),
+    # [DEFAULT] keys would be dropped, or copied into the other sections
+    ("[DEFAULT]\nseed = 5\nframes = 7\n", "DEFAULT.*: frames, seed"),
+    ("[DEFAULT]\nseed = 5\n[plan]\nframes = 7\n", "DEFAULT.*: seed"),
 ])
 def test_rejects_bad_files(tmp_path, body, fragment):
     path = tmp_path / "bad.ini"
@@ -343,14 +346,22 @@ def test_altitude_sweep_iterates_splits(tmp_path):
     assert splits == {"0.25", "0.5", "0.75", "0.9"}
 
 
-def test_specfun_check_passes_at_default_orders(tmp_path):
-    code = run(["specfun-check", "--out", str(tmp_path)])
+@pytest.mark.parametrize("flags,pinned", [
+    ([], None),
+    # exact errors at order 40; the exact references run on whole grids
+    (["--truncation", "40,40,40"],
+     [0.11307226431666995, 0.022188202017856155, 0.2136515674423574]),
+], ids=["default", "40,40,40"])
+def test_specfun_check_passes(tmp_path, flags, pinned):
+    code = run(["specfun-check", "--out", str(tmp_path), *flags])
     assert code == 0
     report = json.loads((tmp_path / "specfun_check.json").read_text())
     assert report["passed"] is True
     names = [c["function"] for c in report["checks"]]
     assert names == ["marcum_q1", "bessel_i0", "log_moment_ncx2"]
     assert all(c["max_error"] < c["ceiling"] for c in report["checks"])
+    if pinned is not None:
+        assert [c["max_error"] for c in report["checks"]] == pinned
 
 
 def test_specfun_check_breaches_at_shallow_orders(tmp_path):

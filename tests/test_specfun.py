@@ -89,6 +89,8 @@ def test_lgamma_int_table():
 def test_bessel_i_trivial_origin():
     assert sf.bessel_i(0.0, 0.0) == 1.0
     assert sf.bessel_i(1.0, 0.0) == 0.0
+    # a leading term that underflows gives 0, not a series that never stops
+    assert sf.bessel_i(2.0, 1e-300) == 0.0
 
 
 def test_bessel_i_frozen():
@@ -110,6 +112,36 @@ def test_bessel_i_matches_reference(nu, x):
 def test_bessel_i_overflow_signalled():
     with pytest.raises(OverflowError):
         sf.bessel_i(0.0, 800.0)
+
+
+def _bessel_i_scalar_loop(nu, x):
+    # the per-point series the array routine replaced
+    half = 0.5 * x
+    if half == 0.0:
+        return 1.0 if nu == 0 else 0.0
+    term = math.exp(nu * math.log(half) - math.lgamma(nu + 1.0))
+    total = term
+    q = half * half
+    for k in range(1, 20000):
+        term *= q / (k * (nu + k))
+        total += term
+        if term < 1e-17 * total and k > half:
+            return total
+    raise RuntimeError("no convergence")
+
+
+@pytest.mark.parametrize("nu", [0.0, 1.0])
+def test_bessel_i_array_matches_scalar_loop(nu):
+    # each element runs the loop's operations; the terms it takes past its
+    # own stop, while other elements converge, move none of its bits
+    xs = np.concatenate(([0.0, 5e-324, 1e-8], np.linspace(0.0, 700.0, 1401)))
+    want = [_bessel_i_scalar_loop(nu, float(x)) for x in xs]
+    assert sf.bessel_i(nu, xs).tolist() == want
+    grid = sf.bessel_i(nu, xs[::-1].reshape(4, 351))
+    assert grid.tolist() == np.reshape(want[::-1], (4, 351)).tolist()
+    assert [sf.bessel_i(nu, float(x)) for x in xs[::50]] == want[::50]
+    with pytest.raises(OverflowError):
+        sf.bessel_i(nu, np.array([1.0, sf._LOG_HUGE * (1.0 + 1e-15)]))
 
 
 def test_bessel_i_truncated_envelope():
@@ -219,8 +251,10 @@ def test_marcum_frozen():
 def test_marcum_vector_argument():
     b = np.array([0.0, 0.7, 2.2, 9.0])
     vec = sf.marcum_q1(1.5, b)
+    # an entry that keeps iterating past its own stop gains nothing: every
+    # later term is below half an ulp of its q
     for bb, v in zip(b, vec):
-        assert v == pytest.approx(sf.marcum_q1(1.5, float(bb)), rel=1e-13)
+        assert v == sf.marcum_q1(1.5, float(bb))
 
 
 def test_marcum_beyond_squarable_b_is_zero():
@@ -536,6 +570,31 @@ def test_phi_flag_below_unit_offset_raises(monkeypatch):
     # at b >= 1 every flagged index takes the quadrature route
     panel = [sf.phi_log_bracket(i, 2.0, mode="quadrature") for i in range(4)]
     assert sf._phi_eq_log_bracket(3, 2.0) == pytest.approx(panel, rel=1e-12)
+
+
+def _panel_loop(f, edges, points=32):
+    # the per-panel quadrature that one call on the node matrix replaced
+    x, w = sf._gl_rule(points)
+    edges = np.asarray(edges, dtype=float)
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (b - a)
+        mid = 0.5 * (b + a)
+        total += half * float(np.sum(w * f(mid + half * x)))
+    return total
+
+
+def test_panel_quadrature_matches_per_panel_loop(monkeypatch):
+    moments = [(0.0, 0.0), (0.0, 1.0), (4.0, 0.0), (9.4, 137.0), (20.0, 0.1)]
+    brackets = [(0, 0.1), (5, 8.0), (25, 840.0), (12, 23000.0)]
+
+    def integrals():
+        return ([sf._log_moment_quadrature(lam, b) for lam, b in moments]
+                + [sf.phi_log_bracket(i, b, mode="quadrature") for i, b in brackets])
+
+    got = integrals()
+    monkeypatch.setattr(sf, "panel_quadrature", _panel_loop)
+    assert got == integrals()
 
 
 def test_log_moment_central_chi_square():

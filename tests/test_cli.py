@@ -128,7 +128,9 @@ def test_readme_config_block_loads_to_the_defaults(tmp_path):
     ("[protocol]\nallocation = high\n", "not a valid value"),
     ("[geometry]\nrelay = 1 2\n", "three coordinates"),
     ("[geometry]\nrelay = a b c\n", "non-numeric"),
-    ("[geometry]\nrelay = 2 0 -1\n", "relay: node altitude must be >= 0"),
+    ("[geometry]\nrelay = 2 0 -1\n", "altitude must be >= 0"),
+    # a node error names the key it came from
+    ("[geometry]\neavesdropper = 2 0 -1\n", "eavesdropper: node altitude must be >= 0"),
     ("[mode]\nresidual_epsilon = maybe\n", "on/off"),
     ("[mode]\nbaseline = hovercraft\n", "baseline"),
     ("[plan]\nframes = -5\n", "frames"),

@@ -104,8 +104,8 @@ def _xlog(exponents, base: float) -> np.ndarray:
     return exponents * math.log(base)
 
 
-def _checked_logsumexp(terms: np.ndarray, label: str) -> float:
-    """Reduce log-terms; a NaN or +inf term means the series left float range."""
+def _require_in_range(terms: np.ndarray, label: str) -> None:
+    """A NaN or +inf log-term means the series left float range."""
     flat = terms.ravel()
     bad = np.isnan(flat) | np.isposinf(flat)
     if np.any(bad):
@@ -113,7 +113,11 @@ def _checked_logsumexp(terms: np.ndarray, label: str) -> float:
         raise sf.SeriesOverflowError(
             f"{label} series: log-term {index} of {flat.size} is {flat[index]}"
         )
-    return sf.logsumexp(flat)
+
+
+def _checked_logsumexp(terms: np.ndarray, label: str) -> float:
+    _require_in_range(terms, label)
+    return sf.logsumexp(terms.ravel())
 
 
 def _require_finite_constants(label: str, **constants: float) -> None:
@@ -136,16 +140,23 @@ def _bessel_series_logsum(
 
     Every offset lies in [-depth, 0], so the inner index j is reduced once
     per offset into h, then the outer terms base + h[offset] are reduced.
+    The inner sums are the rows of one (depth + 1, inner) term matrix. Each
+    row is reduced as sf.logsumexp reduces a 1-D array: the same shift, the
+    same pairwise sum over a row of the same length, math.log of the total.
     """
     j = np.arange(base_inner.size)
     # |nu| peaks at depth - 1 (offset -depth, first j) or at base_inner.size
     # (offset 0, last j)
     log_k = sf.log_bessel_k_sequence(max(depth - 1, base_inner.size), argument)
-    h = np.empty(depth + 1)
-    for o in range(-depth, 1):
-        nu = o + j + 1
-        h[o + depth] = _checked_logsumexp(
-            base_inner + 0.5 * nu * log_ratio + log_k[np.abs(nu)], label)
+    nu = np.arange(-depth, 1)[:, None] + j + 1
+    terms = base_inner + 0.5 * nu * log_ratio + log_k[np.abs(nu)]
+    bad_rows = np.any(np.isnan(terms) | np.isposinf(terms), axis=1)
+    if np.any(bad_rows):
+        _require_in_range(terms[np.argmax(bad_rows)], label)
+    # each row's j = 0 term is finite, so no shift m is -inf
+    m = np.max(terms, axis=1)
+    totals = np.sum(np.exp(terms - m[:, None]), axis=1)
+    h = m + np.array([math.log(t) for t in totals.tolist()])
     return _checked_logsumexp(base + h[offset + depth], label)
 
 

@@ -377,12 +377,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    # Each Monte Carlo block frees about 0.3 MB of kernel temporaries. At
-    # glibc's default 128 KB trim threshold, heap layout alone decides whether
-    # every call faults them in again (a `sweep lambda_beta` pass on a 2-core
-    # host: 1.35 s or 0.8 s).
+    # Keep numpy temporaries on the heap between calls. Each Monte Carlo
+    # block frees about 0.3 MB of kernel temporaries; at glibc's default
+    # 128 KB trim threshold, heap layout alone decides whether every call
+    # faults them in again (a `sweep lambda_beta` pass on a 2-core host:
+    # 1.35 s or 0.8 s). Setting the trim threshold also freezes the mmap
+    # threshold at 128 KB, so every larger temporary (the order-40 SOP
+    # pyramid terms, the policy's candidate arrays) would be mmapped,
+    # faulted in and unmapped on each use. 32 MiB is its 64-bit maximum in
+    # mallopt(3).
     with contextlib.suppress(AttributeError, OSError, TypeError):  # not glibc
-        ctypes.CDLL(None).mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+        libc = ctypes.CDLL(None)
+        libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+        libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
     try:
         cfg = cfgfile.load_config(args.config)
         orders = (cfgfile.parse_truncation(args.truncation)

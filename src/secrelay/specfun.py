@@ -72,14 +72,15 @@ def log_binomial(n: int, k) -> np.ndarray:
     return t[n + 1] - t[k + 1] - t[n - k + 1]
 
 
-def signed_logsumexp(log_mag, signs) -> tuple[float, float]:
+def signed_logsumexp(log_mag, signs=None) -> tuple[float, float]:
     """Return (log|S|, sign(S)) for S = sum(signs * exp(log_mag)).
 
     Entries with log magnitude -inf are neutral. The sum is shifted by the
     largest magnitude, so cancellation costs precision but never overflows.
+    Without ``signs`` every term is positive; that is the same sum as unit
+    signs, since x * 1.0 is exact.
     """
     log_mag = np.asarray(log_mag, dtype=float)
-    signs = np.asarray(signs, dtype=float)
     if log_mag.size == 0:
         return (-math.inf, 0.0)
     if np.isnan(log_mag).any():
@@ -87,7 +88,10 @@ def signed_logsumexp(log_mag, signs) -> tuple[float, float]:
     m = float(np.max(log_mag))
     if m == -math.inf:
         return (-math.inf, 0.0)
-    total = float(np.sum(signs * np.exp(log_mag - m)))
+    scaled = np.exp(log_mag - m)
+    if signs is not None:
+        scaled = np.asarray(signs, dtype=float) * scaled
+    total = float(np.sum(scaled))
     if total == 0.0:
         return (-math.inf, 0.0)
     return (m + math.log(abs(total)), math.copysign(1.0, total))
@@ -95,8 +99,7 @@ def signed_logsumexp(log_mag, signs) -> tuple[float, float]:
 
 def logsumexp(log_mag) -> float:
     """log(sum(exp(log_mag))) for all-positive terms."""
-    value, _ = signed_logsumexp(log_mag, np.ones(np.shape(log_mag)))
-    return value
+    return signed_logsumexp(log_mag)[0]
 
 
 def log_series_weight(order: int, idx) -> np.ndarray:
@@ -160,8 +163,11 @@ def bessel_i(nu: float, x, mode: str = "exact", order: int | None = None):
     surrogate of depth ``order`` that the metric series inherit their
     weights from.
     """
-    if nu < 0 or np.any(np.asarray(x) < 0):
-        raise ValueError(f"bessel_i requires nu >= 0 and x >= 0, got nu={nu}, x={x}")
+    # written as "not >=" so that NaN fails too
+    if not nu >= 0:
+        raise ValueError(f"bessel_i requires nu >= 0, got nu={nu}")
+    if not np.all(np.asarray(x) >= 0):
+        raise ValueError(f"bessel_i requires x >= 0, got x={x}")
     if mode == "exact":
         value = _bessel_i_series(nu, x)
         return float(value) if np.ndim(x) == 0 else value
@@ -331,8 +337,10 @@ def marcum_q1(a: float, b, mode: str = "exact", order: int | None = None):
     O(1) and every term is positive. ``b`` may be an array in exact mode.
     Truncated mode evaluates the finite double series of depth ``order``.
     """
-    if a < 0:
+    if not a >= 0:
         raise ValueError(f"marcum_q1 requires a >= 0, got a={a}")
+    if not np.all(np.asarray(b) >= 0):
+        raise ValueError(f"marcum_q1 requires b >= 0, got b={b}")
     if mode == "exact":
         return _marcum_q1_exact(a, b)
     if mode == "truncated":
@@ -345,8 +353,6 @@ def marcum_q1(a: float, b, mode: str = "exact", order: int | None = None):
 def _marcum_q1_exact(a: float, b):
     scalar = np.isscalar(b)
     y = np.atleast_1d(np.asarray(b, dtype=float))
-    if np.any(y < 0):
-        raise ValueError("marcum_q1 requires b >= 0")
     ha = 0.5 * a * a
     if ha > 700.0:
         raise SeriesOverflowError(
@@ -389,8 +395,6 @@ def _poisson_mixture(ha: float, hy: np.ndarray) -> np.ndarray:
 
 
 def _marcum_q1_truncated(a: float, b: float, order: int) -> float:
-    if b < 0:
-        raise ValueError("marcum_q1 requires b >= 0")
     t = lgamma_int(2 * order + 2)
     expo = -0.5 * (a * a + b * b)
     d_top = 0 if a == 0.0 else order
@@ -436,8 +440,8 @@ def log_upper_incomplete_gamma(a: int, x: float) -> float:
     """ln Gamma(a, x), integer a >= 1, x >= 0; stable for large x."""
     if a < 1 or a != int(a):
         raise ValueError(f"integer a >= 1 required, got {a}")
-    if x < 0:
-        raise ValueError(f"x >= 0 required, got {x}")
+    if not x >= 0:
+        raise ValueError(f"x >= 0 required, got x={x}")
     a = int(a)
     t = lgamma_int(a + 1)
     if x == 0.0:
@@ -451,8 +455,8 @@ def log_upper_incomplete_gamma(a: int, x: float) -> float:
 
 def log_exp_integral_e1(x: float) -> float:
     """ln E1(x); remains finite for arguments far beyond the linear range."""
-    if x <= 0:
-        raise ValueError(f"log_exp_integral_e1 requires x > 0, got {x}")
+    if not x > 0:
+        raise ValueError(f"log_exp_integral_e1 requires x > 0, got x={x}")
     if x <= 1.5:
         total = -EULER_GAMMA - math.log(x)
         term = 1.0
@@ -505,7 +509,7 @@ def log_moment_ncx2(lam: float, b: float, mode: str = "series", order: int = 25)
     allocation. Errors are not cached. The cached values depend on
     ``_PHI_MAX_LOST``; call ``log_moment_ncx2.cache_clear()`` after changing it.
     """
-    if lam < 0 or b < 0:
+    if not (lam >= 0 and b >= 0):
         raise ValueError(f"lam >= 0 and b >= 0 required, got lam={lam}, b={b}")
     if mode == "quadrature":
         return _log_moment_quadrature(lam, b)
@@ -532,16 +536,16 @@ def _g1_series(lam: float, order: int) -> float:
     """Finite form of E[ln X]; every term is positive."""
     t = lgamma_int(2 * order + 2)
     r_top = 0 if lam == 0.0 else order
+    w = log_series_weight(order, np.arange(r_top + 1))
     log_terms = np.empty(r_top + 1)
-    signs_scale = np.empty(r_top + 1)
     for r in range(r_top + 1):
+        # math.log, not np.log: the two differ in the last bit
         coeff = digamma(r + 1.0) + LN2
-        lt = log_series_weight(order, r) - t[r + 1] - r * LN2 + math.log(coeff)
+        lt = w[r] - t[r + 1] - r * LN2 + math.log(coeff)
         if r:
             lt += r * math.log(lam)
         log_terms[r] = lt
-        signs_scale[r] = 1.0
-    value, sign = signed_logsumexp(log_terms, signs_scale)
+    value, sign = signed_logsumexp(log_terms)
     return sign * math.exp(value - 0.5 * lam)
 
 
@@ -549,6 +553,7 @@ def _g2_series(lam: float, b: float, order: int) -> float:
     t = lgamma_int(2 * order + 2)
     r_top = 0 if lam == 0.0 else order
     phis = _phi_eq_log_bracket(r_top, b)
+    w = log_series_weight(order, np.arange(r_top + 1))
     log_terms = np.empty(r_top + 1)
     signs = np.empty(r_top + 1)
     for r in range(r_top + 1):
@@ -558,7 +563,7 @@ def _g2_series(lam: float, b: float, order: int) -> float:
             signs[r] = 0.0
             continue
         lt = (
-            log_series_weight(order, r)
+            w[r]
             - 2.0 * t[r + 1]
             - r * 2.0 * LN2
             + math.log(abs(phi))
@@ -581,8 +586,8 @@ def phi_log_bracket(i: int, b: float, mode: str = "closed") -> float:
     """
     if i < 0 or i != int(i):
         raise ValueError(f"integer i >= 0 required, got {i}")
-    if b <= 0:
-        raise ValueError(f"b > 0 required, got {b}")
+    if not b > 0:
+        raise ValueError(f"b > 0 required, got b={b}")
     if mode == "closed":
         return _phi_eq_log_bracket(int(i), b)[int(i)]
     if mode == "quadrature":

@@ -510,6 +510,60 @@ def test_series_term_overflow_signalled(monkeypatch, metric, label):
         metric(cfg_at(20), LINKS, sf.TruncationOrders(D=6, R=9, Q=9))
 
 
+def _per_offset_logsum(base, offset, base_inner, depth, argument, log_ratio,
+                       label):
+    """The Bessel-kernel sum with one checked logsumexp per offset."""
+    j = np.arange(base_inner.size)
+    log_k = sf.log_bessel_k_sequence(max(depth - 1, base_inner.size), argument)
+    h = np.empty(depth + 1)
+    for o in range(-depth, 1):
+        nu = o + j + 1
+        h[o + depth] = an._checked_logsumexp(
+            base_inner + 0.5 * nu * log_ratio + log_k[np.abs(nu)], label)
+    return an._checked_logsumexp(base + h[offset + depth], label)
+
+
+@pytest.mark.parametrize("order", [5, 25, 40])
+def test_row_wise_bessel_kernel_keeps_the_per_offset_bits(monkeypatch, order):
+    orders = sf.TruncationOrders(order, order, order)
+    raised = cm.build_links(geo.move_relay(GEOM, altitude=6.0), ENV)
+    cases = [(cfg_at(p_dbw, lam, beta), links)
+             for p_dbw in (0, 10, 20, 30, 40, 60)
+             for lam, beta in ((0.5, 0.5), (0.9, 0.1), (0.1, 0.9))
+             for links in (LINKS, raised)]
+
+    def values():
+        return [(an.connection_probability(cfg, links, orders).raw,
+                 an.sop_l2(cfg, links, orders).raw) for cfg, links in cases]
+
+    row_wise = values()
+    monkeypatch.setattr(an, "_bessel_series_logsum", _per_offset_logsum)
+    assert row_wise == values()
+
+
+@pytest.mark.parametrize("bad_order", [2, -1])
+@pytest.mark.parametrize("bad_value", [math.inf, math.nan])
+@pytest.mark.parametrize("metric", [an.connection_probability, an.sop_l2])
+def test_row_wise_bessel_kernel_reports_the_per_offset_error(
+        monkeypatch, metric, bad_value, bad_order):
+    # ln K at order 2 enters many offset rows, the top order only the last
+    real = sf.log_bessel_k_sequence
+
+    def poisoned(nu_max, x):
+        out = real(nu_max, x).copy()
+        out[bad_order] = bad_value
+        return out
+
+    monkeypatch.setattr(sf, "log_bessel_k_sequence", poisoned)
+    args = (cfg_at(20), LINKS, sf.TruncationOrders(D=6, R=9, Q=9))
+    with pytest.raises(sf.SeriesOverflowError) as row_wise:
+        metric(*args)
+    monkeypatch.setattr(an, "_bessel_series_logsum", _per_offset_logsum)
+    with pytest.raises(sf.SeriesOverflowError) as per_offset:
+        metric(*args)
+    assert str(row_wise.value) == str(per_offset.value)
+
+
 def test_deep_series_memory_stays_pyramid_sized():
     # a (pyramid x Q) term array would take about 1.5 GB at order 60
     tracemalloc = pytest.importorskip("tracemalloc")

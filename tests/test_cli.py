@@ -10,10 +10,13 @@ import resource
 import numpy as np
 import pytest
 
+from secrelay import analytic as an
+from secrelay import channel_models as cm
 from secrelay import cli
 from secrelay import config as cfgfile
 from secrelay import geometry as geo
 from secrelay import montecarlo as mc
+from secrelay import optimize as opt
 from secrelay import protocol as pr
 from secrelay import specfun as sf
 from secrelay.config import (
@@ -416,6 +419,14 @@ def test_baseline_override_checks_its_geometry(tmp_path):
                 "--baseline", BASELINE_GROUND_RELAY]) == 2
 
 
+def _minor_faults(call, repeats):
+    call()  # warm-up: caches and heap growth
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(repeats):
+        call()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap")
 def test_estimator_calls_keep_their_heap_after_a_run(tmp_path):
     # without a raised trim threshold a two-block call faulted in about
@@ -425,12 +436,29 @@ def test_estimator_calls_keep_their_heap_after_a_run(tmp_path):
     cfg = cfgfile.load_config(None)
     links = cfg.build_links()
     plan = mc.SimulationPlan(frames=2 * mc.BLOCK_FRAMES, seed=46)
-    mc.estimate_asr(cfg.protocol, links, plan)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for _ in range(20):
-        mc.estimate_asr(cfg.protocol, links, plan)
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    assert faults < 20 * 20
+    assert _minor_faults(lambda: mc.estimate_asr(cfg.protocol, links, plan),
+                         20) < 20 * 20
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap")
+def test_large_temporaries_reuse_the_heap_after_a_run(tmp_path):
+    # with the mmap threshold frozen at 128 KB, five order-40 SOP calls
+    # faulted in about 30,000 pages of term arrays, and one two-block policy
+    # call about 4,000 pages of grid-fallback candidates
+    assert run(["sweep", "power", "--frames", "1000", "--powers", "15",
+                "--out", str(tmp_path)]) == 0
+    cfg = cfgfile.load_config(None)
+    links = cfg.build_links()
+    orders = sf.TruncationOrders(40, 40, 40)
+    assert _minor_faults(lambda: an.secrecy_outage_probability(
+        cfg.protocol, links, orders), 5) < 1000
+    # with the relay 80 % of the way out, nearly every frame takes the
+    # grid fallback
+    far = cm.build_links(geo.move_relay(cfg.effective_geometry(), along=0.8),
+                         cfg.environment)
+    plan = mc.SimulationPlan(frames=2 * mc.BLOCK_FRAMES, seed=47)
+    assert _minor_faults(lambda: opt.estimate_asr_allocation_policy(
+        cfg.protocol, far, plan), 1) < 400
 
 
 def test_config_file_drives_the_run(tmp_path):

@@ -53,6 +53,14 @@ def test_signed_logsumexp_identities():
         sf.signed_logsumexp([math.nan], [1.0])
 
 
+def test_logsumexp_is_the_unit_sign_sum():
+    rng = np.random.default_rng(11)
+    for size in (1, 2, 7, 26, 41, 129, 1000):
+        x = rng.normal(scale=40.0, size=size)
+        x[rng.random(size) < 0.1] = -math.inf
+        assert sf.logsumexp(x) == sf.signed_logsumexp(x, np.ones(size))[0]
+
+
 def test_signed_logsumexp_shift_safety():
     # magnitudes near the overflow edge must not overflow after shifting
     v, s = sf.signed_logsumexp([800.0, 799.0], [1.0, 1.0])
@@ -160,6 +168,15 @@ def test_bessel_i_truncated_envelope():
         prev = worst
         if order == 25:
             assert 0.04 < worst < 0.06  # measured 0.0553 at x = 10
+
+
+def test_bessel_i_rejects_nan():
+    with pytest.raises(ValueError, match="x="):
+        sf.bessel_i(0.0, math.nan)
+    with pytest.raises(ValueError, match="x="):
+        sf.bessel_i(1.0, np.array([1.0, math.nan]))
+    with pytest.raises(ValueError, match="nu="):
+        sf.bessel_i(math.nan, 1.0)
 
 
 def test_bessel_i_truncated_guards():
@@ -288,6 +305,16 @@ def test_marcum_monotone_and_bounded(a, b, bump):
     assert sf.marcum_q1(a, b + bump) <= q + 1e-12  # non-increasing in b
 
 
+def test_marcum_rejects_nan():
+    for mode in ("exact", "truncated"):
+        with pytest.raises(ValueError, match="a="):
+            sf.marcum_q1(math.nan, 1.0, mode=mode, order=25)
+        with pytest.raises(ValueError, match="b="):
+            sf.marcum_q1(1.0, math.nan, mode=mode, order=25)
+    with pytest.raises(ValueError, match="b="):
+        sf.marcum_q1(1.0, np.array([0.5, math.nan]))
+
+
 def test_marcum_exact_overflow_guard():
     with pytest.raises(OverflowError):
         sf.marcum_q1(60.0, 1.0)
@@ -392,6 +419,11 @@ def test_upper_incomplete_gamma_domain():
         sf.log_upper_incomplete_gamma(2, -1.0)
 
 
+def test_upper_incomplete_gamma_rejects_nan():
+    with pytest.raises(ValueError, match="x="):
+        sf.log_upper_incomplete_gamma(2, math.nan)
+
+
 # ---------------------------------------------------------------------------
 # exponential integral
 
@@ -428,6 +460,11 @@ def test_e1_log_branch_beyond_linear_range():
 def test_e1_domain():
     with pytest.raises(ValueError):
         sf.log_exp_integral_e1(0.0)
+
+
+def test_e1_rejects_nan():
+    with pytest.raises(ValueError, match="x="):
+        sf.log_exp_integral_e1(math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +591,12 @@ def test_phi_closed_form_matches_term_by_term_loop(b):
             assert got[i] == sign * math.exp(x_half + value)
 
 
+def test_phi_rejects_nan():
+    for mode in ("closed", "quadrature"):
+        with pytest.raises(ValueError, match="b="):
+            sf.phi_log_bracket(1, math.nan, mode=mode)
+
+
 def test_phi_closed_form_flags_nothing_below_unit_offset():
     # an index flagged below b = 1 would raise SeriesOverflowError
     for b in np.geomspace(1e-6, 1.0, 25, endpoint=False):
@@ -632,3 +675,54 @@ def test_log_moment_domain():
         sf.log_moment_ncx2(-1.0, 0.0)
     with pytest.raises(ValueError):
         sf.log_moment_ncx2(1.0, 0.0, mode="nonsense")
+
+
+def test_log_moment_rejects_nan():
+    for mode in ("series", "quadrature"):
+        with pytest.raises(ValueError, match="lam="):
+            sf.log_moment_ncx2(math.nan, 0.0, mode)
+        with pytest.raises(ValueError, match="b="):
+            sf.log_moment_ncx2(1.0, math.nan, mode)
+
+
+def _g1_per_r_weights(lam, order):
+    t = sf.lgamma_int(2 * order + 2)
+    r_top = 0 if lam == 0.0 else order
+    log_terms = np.empty(r_top + 1)
+    for r in range(r_top + 1):
+        coeff = sf.digamma(r + 1.0) + sf.LN2
+        lt = (sf.log_series_weight(order, r) - t[r + 1] - r * sf.LN2
+              + math.log(coeff))
+        if r:
+            lt += r * math.log(lam)
+        log_terms[r] = lt
+    value, sign = sf.signed_logsumexp(log_terms, np.ones(r_top + 1))
+    return sign * math.exp(value - 0.5 * lam)
+
+
+def _g2_per_r_weights(lam, b, order):
+    t = sf.lgamma_int(2 * order + 2)
+    r_top = 0 if lam == 0.0 else order
+    phis = sf._phi_eq_log_bracket(r_top, b)
+    log_terms = np.full(r_top + 1, -math.inf)
+    signs = np.zeros(r_top + 1)
+    for r, phi in enumerate(phis):
+        if phi == 0.0:
+            continue
+        lt = (sf.log_series_weight(order, r) - 2.0 * t[r + 1]
+              - r * 2.0 * sf.LN2 + math.log(abs(phi)))
+        if r:
+            lt += r * math.log(lam)
+        log_terms[r] = lt
+        signs[r] = math.copysign(1.0, phi)
+    value, sign = sf.signed_logsumexp(log_terms, signs)
+    return sign * math.exp(value - 0.5 * lam)
+
+
+def test_log_moment_series_keep_the_per_r_weight_bits():
+    for order in (1, 5, 25, 40, 60):
+        for lam in (0.0, 0.3, 5.0, 20.0, 60.0):
+            assert sf._g1_series(lam, order) == _g1_per_r_weights(lam, order)
+            for b in (1e-3, 0.1, 1.0, 10.0, 300.0):
+                assert (sf._g2_series(lam, b, order)
+                        == _g2_per_r_weights(lam, b, order))

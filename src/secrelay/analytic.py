@@ -5,10 +5,14 @@ multiple series over Rician expansion indices; the rate lower bound is a
 Jensen-style log-moment expression. Every series is accumulated in log
 space: powers, factorials, Bessel and confluent factors enter as logarithms,
 so deep operating points (high power, order 25) stay inside float range.
-The CP and phase-2 outage series reduce in two stages. Their Bessel-kernel
-index meets the outer indices only through an offset in [-D, 0], so it is
-summed once per offset by a small logsumexp each; one logsumexp over the
-outer index set then adds those sums, and no array spans both indices.
+Every CP and phase-2 outage term is a product of one-index factors, tied
+only by u = s + m (CP) or u = r + s + m (outage) and u <= d. Each factor is
+a vector over its own index; the Bessel-kernel index is summed once per
+offset -m into a vector h(m). Log-space anti-diagonal convolutions then
+combine the factors over u, a prefix sum runs u up to d, and one
+logsumexp over d gives the series: O(D^2) work per call, and no array
+spans more than one index set besides the (D + 1) x (R + 1) or
+(D + 1) x (Q + 1) Bessel rows.
 
 Probabilities come back as the raw series value plus a [0, 1]-clamped
 companion. The truncation weights keep the finite sums close to the exact
@@ -19,7 +23,6 @@ repaired one.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -104,15 +107,21 @@ def _xlog(exponents, base: float) -> np.ndarray:
     return exponents * math.log(base)
 
 
-def _require_in_range(terms: np.ndarray, label: str) -> None:
+def _require_in_range(terms: np.ndarray, label: str,
+                      what: str = "log-term") -> None:
     """A NaN or +inf log-term means the series left float range."""
     flat = terms.ravel()
     bad = np.isnan(flat) | np.isposinf(flat)
     if np.any(bad):
         index = int(np.argmax(bad))
         raise sf.SeriesOverflowError(
-            f"{label} series: log-term {index} of {flat.size} is {flat[index]}"
+            f"{label} series: {what} {index} of {flat.size} is {flat[index]}"
         )
+
+
+def _require_factors_in_range(label: str, **factors: np.ndarray) -> None:
+    for name, factor in factors.items():
+        _require_in_range(factor, label, f"{name}-factor log-term")
 
 
 def _checked_logsumexp(terms: np.ndarray, label: str) -> float:
@@ -126,38 +135,65 @@ def _require_finite_constants(label: str, **constants: float) -> None:
             raise sf.SeriesOverflowError(f"{label} series: {name} is {value}")
 
 
-def _bessel_series_logsum(
-    base: np.ndarray,
-    offset: np.ndarray,
+def _row_logsumexp(terms: np.ndarray) -> np.ndarray:
+    """ln sum_j exp(terms[i, j]) for every row i; an all -inf row gives -inf.
+
+    Each row is reduced as sf.logsumexp reduces a 1-D array: the same shift,
+    the same pairwise sum over a row of the same length, math.log of the
+    total (numpy's vectorized log may differ from libm in the last bit).
+    """
+    m = np.max(terms, axis=1)
+    shift = np.where(m == _NEG_INF, 0.0, m)
+    totals = np.sum(np.exp(terms - shift[:, None]), axis=1)
+    return shift + np.array([math.log(t) if t > 0.0 else _NEG_INF
+                             for t in totals.tolist()])
+
+
+def _log_convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """z[u] = ln sum_{i + j = u} exp(x[i] + y[j]) for u < len(x) = len(y).
+
+    Row u of the lower-triangular term matrix holds x[i] + y[u - i]; the
+    negative lags above it index y from the end and are masked out.
+    """
+    k = np.arange(x.size)
+    lag = k[:, None] - k
+    return _row_logsumexp(np.where(lag >= 0, x + y[lag], _NEG_INF))
+
+
+def _log_nested_sum(outer: np.ndarray, inner: np.ndarray, label: str) -> float:
+    """ln sum_d exp(outer[d]) sum_{u <= d} exp(inner[u]).
+
+    The prefix sums over u <= d are a convolution with ln 1 = 0.
+    """
+    prefix = _log_convolve(inner, np.zeros(inner.size))
+    return _checked_logsumexp(outer + prefix, label)
+
+
+def _bessel_inner_logsums(
     base_inner: np.ndarray,
     depth: int,
     argument: float,
     log_ratio: float,
     label: str,
-) -> float:
-    """ln sum_i sum_j exp(base[i] + base_inner[j] + nu log_ratio / 2
-    + ln K_|nu|(argument)) with nu = offset[i] + j + 1.
+) -> np.ndarray:
+    """h[m] = ln sum_j exp(base_inner[j] + nu log_ratio / 2
+    + ln K_|nu|(argument)) with nu = j + 1 - m, for m = 0..depth.
 
-    Every offset lies in [-depth, 0], so the inner index j is reduced once
-    per offset into h, then the outer terms base + h[offset] are reduced.
-    The inner sums are the rows of one (depth + 1, inner) term matrix. Each
-    row is reduced as sf.logsumexp reduces a 1-D array: the same shift, the
-    same pairwise sum over a row of the same length, math.log of the total.
+    The Bessel-kernel index j meets the outer indices only through the
+    offset -m, so each offset is reduced once, as one row of a
+    (depth + 1, inner) term matrix. A NaN or +inf row is reported as the
+    first bad row in increasing order of the offset.
     """
     j = np.arange(base_inner.size)
-    # |nu| peaks at depth - 1 (offset -depth, first j) or at base_inner.size
-    # (offset 0, last j)
+    # |nu| peaks at depth - 1 (m = depth, first j) or at base_inner.size
+    # (m = 0, last j)
     log_k = sf.log_bessel_k_sequence(max(depth - 1, base_inner.size), argument)
-    nu = np.arange(-depth, 1)[:, None] + j + 1
+    nu = j + 1 - np.arange(depth + 1)[:, None]
     terms = base_inner + 0.5 * nu * log_ratio + log_k[np.abs(nu)]
     bad_rows = np.any(np.isnan(terms) | np.isposinf(terms), axis=1)
     if np.any(bad_rows):
-        _require_in_range(terms[np.argmax(bad_rows)], label)
-    # each row's j = 0 term is finite, so no shift m is -inf
-    m = np.max(terms, axis=1)
-    totals = np.sum(np.exp(terms - m[:, None]), axis=1)
-    h = m + np.array([math.log(t) for t in totals.tolist()])
-    return _checked_logsumexp(base + h[offset + depth], label)
+        _require_in_range(terms[depth - np.argmax(bad_rows[::-1])], label)
+    return _row_logsumexp(terms)
 
 
 def _require_interior_split(cfg: ProtocolConfig) -> None:
@@ -202,81 +238,59 @@ def connection_probability(
     w_d = sf.log_series_weight(depth, np.arange(depth + 1))
     w_r = sf.log_series_weight(radial, np.arange(radial + 1))
 
-    d_i, u_i, s_i = _triangle_indices(depth)
-    base = (w_d[d_i] - lg[d_i + 1] - lg[s_i + 1] - lg[u_i - s_i + 1]
-            + _xlog(d_i, k_au) + u_i * math.log1p(k_au)
-            + _xlog(s_i, part_a) + _xlog(u_i - s_i, part_b))
+    # each term factors over d, u = s + m, s and the Bessel offset -m, and
+    # every one of these indices runs over 0..depth
+    i = np.arange(depth + 1)
+    factor_d = w_d - lg[i + 1] + _xlog(i, k_au)
+    factor_u = i * math.log1p(k_au)
+    factor_s = _xlog(i, part_a) - lg[i + 1]
+    factor_m = _xlog(i, part_b) - lg[i + 1]
     r = np.arange(radial + 1)
     base_r = w_r - 2.0 * lg[r + 1] + _xlog(r, k_ub * (1.0 + k_ub))
+    _require_factors_in_range("connection", d=factor_d, u=factor_u, s=factor_s,
+                              m=factor_m, r=base_r)
 
     argument = 2.0 * math.sqrt((1.0 + k_au) * (1.0 + k_ub) * part_b)
     log_ratio = math.log((1.0 + k_au) * part_b / (1.0 + k_ub))
-    log_sum = _bessel_series_logsum(base, s_i - u_i, base_r, depth, argument,
-                                    log_ratio, "connection")
+    h = _bessel_inner_logsums(base_r, depth, argument, log_ratio, "connection")
+    by_u = _log_convolve(factor_s, factor_m + h)
+    log_sum = _log_nested_sum(factor_d, factor_u + by_u, "connection")
     log_prefix = (math.log(2.0 * (1.0 + k_ub))
                   - k_au - k_ub - (1.0 + k_au) * part_a)
     raw = math.exp(log_prefix + log_sum)
     return _as_series_probability(raw)
 
 
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
-def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(parent, rank) for every child when parent i has counts[i] children,
-    parent-major: the flatten order of a nested loop."""
-    parent = np.repeat(np.arange(counts.size), counts)
-    starts = np.cumsum(counts) - counts
-    return parent, np.arange(parent.size) - starts[parent]
-
-
-@functools.lru_cache(maxsize=8)
-def _triangle_indices(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All (d, u, s) with 0 <= s <= u <= d <= depth, flattened d-major.
-
-    Cached per depth and shared between calls, so the arrays are read-only.
-    """
-    d_i = np.arange(depth + 1)
-    parent, u_i = _expand(d_i + 1)
-    d_i = d_i[parent]
-    parent, s_i = _expand(u_i + 1)
-    return _read_only(d_i[parent], u_i[parent], s_i)
-
-
-@functools.lru_cache(maxsize=8)
-def _pyramid_indices(
-    depth: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """All (d, u, r, s) with u <= d <= depth, r <= u, s <= u - r, flattened
-    d-major.
-
-    Cached per depth and shared between calls, so the arrays are read-only.
-    """
-    d_i = np.arange(depth + 1)
-    parent, u_i = _expand(d_i + 1)
-    d_i = d_i[parent]
-    parent, r_i = _expand(u_i + 1)
-    d_i, u_i = d_i[parent], u_i[parent]
-    parent, s_i = _expand(u_i - r_i + 1)
-    return _read_only(d_i[parent], u_i[parent], r_i[parent], s_i)
-
-
 def _log_f11_table(max_r: int, x: float) -> np.ndarray:
-    """log 1F1(r+1; 1; x) for r = 0..max_r via e^x * sum_k C(r,k) x^k / k!."""
+    """log 1F1(r+1; 1; x) for r = 0..max_r via e^x * sum_k C(r,k) x^k / k!.
+
+    C(r,k) / k! = r! / (k!^2 (r-k)!), so the sums over k <= r are one
+    anti-diagonal convolution of x^k / k!^2 with 1 / j!.
+    """
     lg = sf.lgamma_int(max_r + 2)
-    out = np.empty(max_r + 1)
-    for r in range(max_r + 1):
-        k = np.arange(r + 1)
-        body = sf.log_binomial(r, k) + _xlog(k, x) - lg[k + 1]
-        out[r] = x + sf.logsumexp(body)
-    return out
+    k = np.arange(max_r + 1)
+    return x + lg[k + 1] + _log_convolve(_xlog(k, x) - 2.0 * lg[k + 1],
+                                         -lg[k + 1])
+
+
+def _require_rayleigh_ground_links(links: LinkSet, metric: str) -> None:
+    # the closed forms take exponential gains on the two ground links to the
+    # eavesdropper, which holds only while source, destination and
+    # eavesdropper all sit at altitude 0
+    for link in (links.ae, links.be):
+        if link.k_factor != 0.0:
+            raise ValueError(
+                f"{metric} assumes Rayleigh fading on link {link.link_id}, "
+                f"got K_{link.link_id} = {link.k_factor}"
+            )
 
 
 def sop_l1(cfg: ProtocolConfig, links: LinkSet) -> float:
-    """Probability the phase-1 eavesdropper SINR stays below threshold."""
+    """Probability the phase-1 eavesdropper SINR stays below threshold.
+
+    Needs Rayleigh fading (K = 0) on the ae and be links.
+    """
+    _require_rayleigh_ground_links(links, "sop_l1")
     delta = cfg.delta_e
     p_a, p_b, n0 = cfg.source_power, cfg.jamming_power, cfg.noise_power
     l_ae, l_be = links.ae.large_scale_gain, links.be.large_scale_gain
@@ -319,20 +333,26 @@ def sop_l2(
     w_q = sf.log_series_weight(radial, np.arange(radial + 1))
     f11 = _log_f11_table(depth, x_f11)
 
-    d_i, u_i, r_i, s_i = _pyramid_indices(depth)
-    m_i = u_i - r_i - s_i
-    base = (w_d[d_i] + _xlog(d_i, aux.a) - lg[d_i + 1] - (d_i + u_i) * sf.LN2
-            + _xlog(r_i, aux.b) + f11[r_i] - (r_i + 1) * math.log(aux.b_tilde)
-            + _xlog(s_i, shift_t) - lg[s_i + 1]
-            + _xlog(m_i, shift_p) - lg[m_i + 1])
+    # each term factors over d, u = r + s + m, r, s and the Bessel offset -m,
+    # and every one of these indices runs over 0..depth
+    i = np.arange(depth + 1)
+    factor_d = w_d + _xlog(i, aux.a) - lg[i + 1] - i * sf.LN2
+    factor_u = -i * sf.LN2
+    factor_r = _xlog(i, aux.b) + f11 - (i + 1) * math.log(aux.b_tilde)
+    factor_s = _xlog(i, shift_t) - lg[i + 1]
+    factor_m = _xlog(i, shift_p) - lg[i + 1]
     q = np.arange(radial + 1)
     base_q = w_q + _xlog(q, aux.c1) - 2.0 * lg[q + 1]
+    _require_factors_in_range("phase-2 outage", d=factor_d, u=factor_u,
+                              r=factor_r, s=factor_s, m=factor_m, q=base_q)
 
     argument = 2.0 * math.sqrt((1.0 + k_au) * (1.0 + k_ue) * aux.a2)
     log_ratio = math.log((1.0 + k_au) * aux.a2 / (1.0 + k_ue))
     # the Bessel order is s - (u - r) + q + 1 = q + 1 - m
-    log_sum = _bessel_series_logsum(base, -m_i, base_q, depth, argument,
-                                    log_ratio, "phase-2 outage")
+    h = _bessel_inner_logsums(base_q, depth, argument, log_ratio,
+                              "phase-2 outage")
+    by_u = _log_convolve(factor_r, _log_convolve(factor_s, factor_m + h))
+    log_sum = _log_nested_sum(factor_d, factor_u + by_u, "phase-2 outage")
     log_prefix = (math.log(2.0 * (1.0 + k_ub) * (1.0 + k_ue))
                   - k_au - k_ub - k_ue - 0.5 * shift_t)
     raw = 1.0 - math.exp(log_prefix + log_sum)
@@ -351,7 +371,11 @@ def secrecy_outage_probability(
 
 
 def mean_gamma_eve_phase1(cfg: ProtocolConfig, links: LinkSet) -> float:
-    """Mean phase-1 eavesdropper SINR via the exponential integral."""
+    """Mean phase-1 eavesdropper SINR via the exponential integral.
+
+    Needs Rayleigh fading (K = 0) on the ae and be links.
+    """
+    _require_rayleigh_ground_links(links, "mean_gamma_eve_phase1")
     p_b = cfg.jamming_power
     if p_b == 0.0:
         raise ValueError("mean_gamma_eve_phase1 needs active jamming (allocation < 1)")

@@ -382,10 +382,9 @@ def main(argv=None) -> int:
     # 128 KB trim threshold, heap layout alone decides whether every call
     # faults them in again (a `sweep lambda_beta` pass on a 2-core host:
     # 1.35 s or 0.8 s). Setting the trim threshold also freezes the mmap
-    # threshold at 128 KB, so every larger temporary (the order-40 SOP
-    # pyramid terms, the policy's candidate arrays) would be mmapped,
-    # faulted in and unmapped on each use. 32 MiB is its 64-bit maximum in
-    # mallopt(3).
+    # threshold at 128 KB, so every larger temporary (such as the policy's
+    # candidate arrays) would be mmapped, faulted in and unmapped on each
+    # use. 32 MiB is its 64-bit maximum in mallopt(3).
     with contextlib.suppress(AttributeError, OSError, TypeError):  # not glibc
         libc = ctypes.CDLL(None)
         libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD

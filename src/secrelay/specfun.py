@@ -438,10 +438,11 @@ def digamma(x: float) -> float:
 
 def log_upper_incomplete_gamma(a: int, x: float) -> float:
     """ln Gamma(a, x), integer a >= 1, x >= 0; stable for large x."""
-    if a < 1 or a != int(a):
-        raise ValueError(f"integer a >= 1 required, got {a}")
-    if not x >= 0:
-        raise ValueError(f"x >= 0 required, got x={x}")
+    # written as "not <" so that NaN fails too
+    if not 1 <= a < math.inf or a != int(a):
+        raise ValueError(f"integer a >= 1 required, got a={a}")
+    if not 0 <= x < math.inf:
+        raise ValueError(f"finite x >= 0 required, got x={x}")
     a = int(a)
     t = lgamma_int(a + 1)
     if x == 0.0:
@@ -455,8 +456,8 @@ def log_upper_incomplete_gamma(a: int, x: float) -> float:
 
 def log_exp_integral_e1(x: float) -> float:
     """ln E1(x); remains finite for arguments far beyond the linear range."""
-    if not x > 0:
-        raise ValueError(f"log_exp_integral_e1 requires x > 0, got x={x}")
+    if not 0 < x < math.inf:
+        raise ValueError(f"log_exp_integral_e1 requires finite x > 0, got x={x}")
     if x <= 1.5:
         total = -EULER_GAMMA - math.log(x)
         term = 1.0
@@ -509,8 +510,10 @@ def log_moment_ncx2(lam: float, b: float, mode: str = "series", order: int = 25)
     allocation. Errors are not cached. The cached values depend on
     ``_PHI_MAX_LOST``; call ``log_moment_ncx2.cache_clear()`` after changing it.
     """
-    if not (lam >= 0 and b >= 0):
-        raise ValueError(f"lam >= 0 and b >= 0 required, got lam={lam}, b={b}")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"finite lam >= 0 required, got lam={lam}")
+    if not 0 <= b < math.inf:
+        raise ValueError(f"finite b >= 0 required, got b={b}")
     if mode == "quadrature":
         return _log_moment_quadrature(lam, b)
     if mode != "series":
@@ -584,10 +587,10 @@ def phi_log_bracket(i: int, b: float, mode: str = "closed") -> float:
     large b, so the double-precision path monitors the cancellation and a
     Gauss-Laguerre rule re-evaluates the indices that lose too many digits.
     """
-    if i < 0 or i != int(i):
-        raise ValueError(f"integer i >= 0 required, got {i}")
-    if not b > 0:
-        raise ValueError(f"b > 0 required, got b={b}")
+    if not 0 <= i < math.inf or i != int(i):
+        raise ValueError(f"integer i >= 0 required, got i={i}")
+    if not 0 < b < math.inf:
+        raise ValueError(f"finite b > 0 required, got b={b}")
     if mode == "closed":
         return _phi_eq_log_bracket(int(i), b)[int(i)]
     if mode == "quadrature":

@@ -8,11 +8,12 @@ weighted order-25 numbers are then frozen as regression pins, and the gap to
 the exact integral is asserted as a truncation envelope, not hidden.
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from secrelay import analytic as an
 from secrelay import channel_models as cm
@@ -372,35 +373,21 @@ def test_clamp_residue_zero_on_reference_grid():
                 assert 0.0 <= got.raw <= 1.0
 
 
-@pytest.mark.parametrize("build", [an._triangle_indices, an._pyramid_indices])
-def test_index_sets_cached_read_only(build):
-    first = build(6)
-    again = build(6)
-    assert all(a is b for a, b in zip(first, again))
-    for column in first:
-        with pytest.raises(ValueError):
-            column[0] = 1
-
-
+@functools.cache
 def _triangle_loop(depth):
+    """All (d, u, s) with 0 <= s <= u <= d <= depth, in nested-loop order."""
     rows = [(d, u, s) for d in range(depth + 1) for u in range(d + 1)
             for s in range(u + 1)]
     return tuple(np.array(col) for col in zip(*rows))
 
 
+@functools.cache
 def _pyramid_loop(depth):
+    """All (d, u, r, s) with u <= d <= depth, r <= u, s <= u - r, in
+    nested-loop order."""
     rows = [(d, u, r, s) for d in range(depth + 1) for u in range(d + 1)
             for r in range(u + 1) for s in range(u - r + 1)]
     return tuple(np.array(col) for col in zip(*rows))
-
-
-@pytest.mark.parametrize("build, loop", [(an._triangle_indices, _triangle_loop),
-                                         (an._pyramid_indices, _pyramid_loop)])
-def test_index_sets_match_nested_loops(build, loop):
-    for depth in [*range(13), 40]:
-        for got, want in zip(build(depth), loop(depth), strict=True):
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("metric", [an.connection_probability,
@@ -415,7 +402,7 @@ def test_series_metrics_reject_zero_noise(metric):
 
 
 # ---------------------------------------------------------------------------
-# two-stage reduction of the Bessel-kernel series
+# nested reduction of the CP and phase-2 outage series
 
 
 def _one_shot_cp(cfg, links, orders):
@@ -431,7 +418,7 @@ def _one_shot_cp(cfg, links, orders):
     lg = sf.lgamma_int(depth + radial + 3)
     w_d = sf.log_series_weight(depth, np.arange(depth + 1))
     w_r = sf.log_series_weight(radial, np.arange(radial + 1))
-    d_i, u_i, s_i = an._triangle_indices(depth)
+    d_i, u_i, s_i = _triangle_loop(depth)
     base = (w_d[d_i] - lg[d_i + 1] - lg[s_i + 1] - lg[u_i - s_i + 1]
             + an._xlog(d_i, k_au) + u_i * math.log1p(k_au)
             + an._xlog(s_i, part_a) + an._xlog(u_i - s_i, part_b))
@@ -459,7 +446,7 @@ def _one_shot_l2(cfg, links, orders):
     w_d = sf.log_series_weight(depth, np.arange(depth + 1))
     w_q = sf.log_series_weight(radial, np.arange(radial + 1))
     f11 = an._log_f11_table(depth, aux.c_tilde**2 / aux.b_tilde)
-    d_i, u_i, r_i, s_i = an._pyramid_indices(depth)
+    d_i, u_i, r_i, s_i = _pyramid_loop(depth)
     m_i = u_i - r_i - s_i
     base = (w_d[d_i] + an._xlog(d_i, aux.a) - lg[d_i + 1] - (d_i + u_i) * sf.LN2
             + an._xlog(r_i, aux.b) + f11[r_i] - (r_i + 1) * math.log(aux.b_tilde)
@@ -510,17 +497,17 @@ def test_series_term_overflow_signalled(monkeypatch, metric, label):
         metric(cfg_at(20), LINKS, sf.TruncationOrders(D=6, R=9, Q=9))
 
 
-def _per_offset_logsum(base, offset, base_inner, depth, argument, log_ratio,
-                       label):
-    """The Bessel-kernel sum with one checked logsumexp per offset."""
+def _per_offset_logsums(base_inner, depth, argument, log_ratio, label):
+    """The Bessel-kernel sums h(m) with one checked logsumexp per offset -m,
+    offsets in increasing order."""
     j = np.arange(base_inner.size)
     log_k = sf.log_bessel_k_sequence(max(depth - 1, base_inner.size), argument)
     h = np.empty(depth + 1)
-    for o in range(-depth, 1):
-        nu = o + j + 1
-        h[o + depth] = an._checked_logsumexp(
+    for m in range(depth, -1, -1):
+        nu = j + 1 - m
+        h[m] = an._checked_logsumexp(
             base_inner + 0.5 * nu * log_ratio + log_k[np.abs(nu)], label)
-    return an._checked_logsumexp(base + h[offset + depth], label)
+    return h
 
 
 @pytest.mark.parametrize("order", [5, 25, 40])
@@ -537,7 +524,7 @@ def test_row_wise_bessel_kernel_keeps_the_per_offset_bits(monkeypatch, order):
                  an.sop_l2(cfg, links, orders).raw) for cfg, links in cases]
 
     row_wise = values()
-    monkeypatch.setattr(an, "_bessel_series_logsum", _per_offset_logsum)
+    monkeypatch.setattr(an, "_bessel_inner_logsums", _per_offset_logsums)
     assert row_wise == values()
 
 
@@ -558,7 +545,7 @@ def test_row_wise_bessel_kernel_reports_the_per_offset_error(
     args = (cfg_at(20), LINKS, sf.TruncationOrders(D=6, R=9, Q=9))
     with pytest.raises(sf.SeriesOverflowError) as row_wise:
         metric(*args)
-    monkeypatch.setattr(an, "_bessel_series_logsum", _per_offset_logsum)
+    monkeypatch.setattr(an, "_bessel_inner_logsums", _per_offset_logsums)
     with pytest.raises(sf.SeriesOverflowError) as per_offset:
         metric(*args)
     assert str(row_wise.value) == str(per_offset.value)
@@ -577,6 +564,127 @@ def test_deep_series_memory_stays_pyramid_sized():
     finally:
         tracemalloc.stop()
     assert peak < 150e6
+
+
+def test_deep_series_footprint_is_quadratic_in_the_order():
+    # every CP and phase-2 outage array is at most (D + 1) x (max(D, R, Q)
+    # + 1); both calls together peaked at 136 kB at order 60, and at 30.6 MB
+    # when they summed over the flattened (d, u, r, s) index set
+    tracemalloc = pytest.importorskip("tracemalloc")
+    orders = sf.TruncationOrders(D=60, R=60, Q=60)
+    cfg = cfg_at(20)
+    an.secrecy_outage_probability(cfg, LINKS, orders)
+    tracemalloc.start()
+    try:
+        an.secrecy_outage_probability(cfg, LINKS, orders)
+        an.connection_probability(cfg, LINKS, orders)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 400e3
+
+
+@pytest.mark.parametrize("metric, label, factors", [
+    (an.connection_probability, "connection series", "dsmr"),
+    # the first _xlog call fills the confluent table inside the r factor
+    (an.sop_l2, "phase-2 outage series", "-drsmq"),
+])
+@pytest.mark.parametrize("bad_value", [math.inf, math.nan])
+def test_factor_overflow_signalled(monkeypatch, metric, label, factors,
+                                   bad_value):
+    # the factors in the order their _xlog calls come
+    real = an._xlog
+    for poisoned_call, name in enumerate(factors):
+        if name == "-":
+            continue
+        calls = []
+
+        def poisoned(exponents, base):
+            out = np.array(real(exponents, base), dtype=float)
+            if len(calls) == poisoned_call:
+                out[2] = bad_value
+            calls.append(base)
+            return out
+
+        monkeypatch.setattr(an, "_xlog", poisoned)
+        with pytest.raises(sf.SeriesOverflowError,
+                           match=f"{label}: {name}-factor log-term 2 of 7 "
+                                 f"is {bad_value}"):
+            metric(cfg_at(20), LINKS, sf.TruncationOrders(D=6, R=6, Q=6))
+
+
+def _f11_per_row(max_r, x):
+    """log 1F1(r+1; 1; x), one logsumexp over k <= r per r."""
+    lg = sf.lgamma_int(max_r + 2)
+    out = np.empty(max_r + 1)
+    for r in range(max_r + 1):
+        k = np.arange(r + 1)
+        body = sf.log_binomial(r, k) + an._xlog(k, x) - lg[k + 1]
+        out[r] = x + sf.logsumexp(body)
+    return out
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-300, 0.3, 2.0, 45.0, 700.0])
+@pytest.mark.parametrize("max_r", [0, 1, 7, 40, 60])
+def test_log_f11_table_matches_per_row_sums(max_r, x):
+    got = an._log_f11_table(max_r, x)
+    want = _f11_per_row(max_r, x)
+    # 1e-13 absolute on the log is 1e-13 relative on 1F1 itself; both routes
+    # round the log-factorials, which reach 188 at r = 60, and the log, which
+    # passes 700 at x = 700, to an ulp each
+    np.testing.assert_allclose(got, want, rtol=4e-16, atol=1e-13)
+    if x == 0.0:
+        np.testing.assert_array_equal(got, np.zeros(max_r + 1))
+    else:
+        # 1F1(1; 1; x) = e^x
+        assert got[0] == x
+
+
+@pytest.mark.parametrize("x, y", [
+    ([0.0], [1.0]),
+    ([0.5, -1.0, 2.0], [1.0, 0.25, -3.0]),
+    ([0.0, -math.inf, -math.inf], [0.0, -math.inf, 1.0]),
+    ([-700.0, 0.0, 700.0, 1.5], [3.0, -2.0, 650.0, 0.0]),
+])
+def test_log_convolve_matches_direct_sums(x, y):
+    x, y = np.array(x), np.array(y)
+    want = [sf.logsumexp([x[i] + y[u - i] for i in range(u + 1)])
+            for u in range(x.size)]
+    np.testing.assert_allclose(an._log_convolve(x, y), want, rtol=1e-15)
+
+
+def _log_space_tolerance(value):
+    """pytest.approx bounds for a value computed as exp(log-sum).
+
+    Both routes round ln(value) to a few ulps, a relative error of about
+    1e-15 |ln value| that passes 1e-13 below value ~ 1e-43: at a CP of
+    1.5e-178 they were 6e-14 and 5e-14 off a 50-digit sum of the same
+    log-terms, in opposite directions. A subnormal value keeps only an
+    absolute precision.
+    """
+    log_size = abs(math.log(value)) if value > 0.0 else 0.0
+    return {"rel": max(1e-13, 1e-15 * log_size), "abs": 1e-320}
+
+
+@given(
+    depths=st.tuples(st.integers(1, 40), st.integers(1, 40),
+                     st.integers(1, 40)),
+    p_dbw=st.floats(min_value=0.0, max_value=60.0),
+    lam=st.floats(min_value=0.05, max_value=0.95),
+    beta=st.floats(min_value=0.05, max_value=0.95),
+    altitude=st.floats(min_value=0.2, max_value=12.0),
+)
+@seed(20261018)
+@settings(max_examples=25, deadline=None)
+def test_nested_sums_match_one_shot_sums(depths, p_dbw, lam, beta, altitude):
+    orders = sf.TruncationOrders(*depths)
+    cfg = cfg_at(p_dbw, lam, beta)
+    links = cm.build_links(geo.move_relay(GEOM, altitude=altitude), ENV)
+    cp = _one_shot_cp(cfg, links, orders)
+    assert an.connection_probability(cfg, links, orders).raw == pytest.approx(
+        cp, **_log_space_tolerance(cp))
+    assert an.sop_l2(cfg, links, orders).raw == pytest.approx(
+        _one_shot_l2(cfg, links, orders), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +728,26 @@ def test_mean_gamma_eve_phase1_matches_monte_carlo():
 def test_mean_gamma_eve_phase1_rejects_full_allocation():
     with pytest.raises(ValueError, match="jamming"):
         an.mean_gamma_eve_phase1(cfg_at(20, lam=1.0), LINKS)
+
+
+@pytest.mark.parametrize("metric", [an.sop_l1, an.secrecy_outage_probability,
+                                    an.mean_gamma_eve_phase1,
+                                    an.asr_lower_bound])
+def test_eavesdropper_closed_forms_reject_rician_ground_links(metric):
+    # the default ground links are Rayleigh, so the frozen pins above still
+    # run through the closed forms
+    assert LINKS.ae.k_factor == LINKS.be.k_factor == 0.0
+    # at z = 1 the eavesdropper's links are Rician (K_ae 1.71, K_be 3.41),
+    # where sop_l1 read 0.969 against a simulated 0.994
+    raised = cm.build_links(
+        geo.NetworkGeometry(source=GEOM.source, destination=GEOM.destination,
+                            eavesdropper=geo.NodePosition(8.0, 1.0, 1.0),
+                            relay=GEOM.relay), ENV)
+    assert raised.be.k_factor == pytest.approx(3.4095, abs=1e-4)
+    with pytest.raises(ValueError, match=r"link ae, got K_ae = 1\.707"):
+        metric(cfg_at(20), raised)
+    with pytest.raises(ValueError, match="link be, got K_be = 0.5"):
+        metric(cfg_at(20), links_with(be=(0.5, 1.0)))
 
 
 # ---------------------------------------------------------------------------

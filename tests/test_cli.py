@@ -321,6 +321,22 @@ def test_no_jamming_sweep_leaves_bound_undefined(tmp_path):
     assert row.split(",")[7] == "nan"
 
 
+def test_raised_eavesdropper_leaves_its_series_cells_undefined(tmp_path):
+    # the eavesdropper-side closed forms assume Rayleigh ground links; at
+    # z = 1 they raise, and the sweep writes nan for the SOP series and the
+    # rate bound while the CP series and every simulated column stay defined
+    path = tmp_path / "raised.ini"
+    path.write_text("[geometry]\neavesdropper = 8, 1, 1\n")
+    code = run(["sweep", "power", "--config", str(path), "--frames", "2000",
+                "--out", str(tmp_path), "--powers", "20"])
+    assert code == 0
+    header, row = (tmp_path / "sweep_power.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["sop_series"] == cells["asr_bound"] == "nan"
+    assert all(cells[column] != "nan" for column in
+               ("cp_series", "cp_mc", "sop_mc", "asr_mc"))
+
+
 def test_lambda_beta_sweep_emits_full_surface(tmp_path, capsys):
     code = run(["sweep", "lambda_beta", "--frames", "500",
                 "--truncation", "25,2,25", "--out", str(tmp_path)])

@@ -424,6 +424,15 @@ def test_upper_incomplete_gamma_rejects_nan():
         sf.log_upper_incomplete_gamma(2, math.nan)
 
 
+def test_upper_incomplete_gamma_rejects_non_finite():
+    # once "NaN log magnitude in signed_logsumexp" and an int(nan) error
+    with pytest.raises(ValueError, match="x=inf"):
+        sf.log_upper_incomplete_gamma(2, math.inf)
+    for a in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"a={a}"):
+            sf.log_upper_incomplete_gamma(a, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # exponential integral
 
@@ -465,6 +474,12 @@ def test_e1_domain():
 def test_e1_rejects_nan():
     with pytest.raises(ValueError, match="x="):
         sf.log_exp_integral_e1(math.nan)
+
+
+def test_e1_rejects_inf():
+    # once a silent nan
+    with pytest.raises(ValueError, match="x=inf"):
+        sf.log_exp_integral_e1(math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -597,6 +612,16 @@ def test_phi_rejects_nan():
             sf.phi_log_bracket(1, math.nan, mode=mode)
 
 
+def test_phi_rejects_non_finite():
+    # once "NaN log magnitude in signed_logsumexp" and an int(nan) error
+    for mode in ("closed", "quadrature"):
+        with pytest.raises(ValueError, match="b=inf"):
+            sf.phi_log_bracket(1, math.inf, mode=mode)
+        for i in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"i={i}"):
+                sf.phi_log_bracket(i, 1.0, mode=mode)
+
+
 def test_phi_closed_form_flags_nothing_below_unit_offset():
     # an index flagged below b = 1 would raise SeriesOverflowError
     for b in np.geomspace(1e-6, 1.0, 25, endpoint=False):
@@ -683,6 +708,15 @@ def test_log_moment_rejects_nan():
             sf.log_moment_ncx2(math.nan, 0.0, mode)
         with pytest.raises(ValueError, match="b="):
             sf.log_moment_ncx2(1.0, math.nan, mode)
+
+
+def test_log_moment_rejects_inf():
+    # once a silent nan and "NaN log magnitude in signed_logsumexp"
+    for mode in ("series", "quadrature"):
+        with pytest.raises(ValueError, match="lam=inf"):
+            sf.log_moment_ncx2(math.inf, 0.0, mode)
+        with pytest.raises(ValueError, match="b=inf"):
+            sf.log_moment_ncx2(1.0, math.inf, mode)
 
 
 def _g1_per_r_weights(lam, order):

@@ -64,7 +64,7 @@ class LinkSet:
                 raise ValueError(f"field {name!r} holds a LinkModel for {held!r}")
 
     def ordered(self) -> tuple[LinkModel, ...]:
-        """Links in the fixed (au, ub, ue, ae, be) order the samplers rely on."""
+        """Links in the fixed (au, ub, ue, ae, be) order the gain kernel relies on."""
         return (self.au, self.ub, self.ue, self.ae, self.be)
 
 
@@ -134,16 +134,6 @@ def squared_rician_cdf(x, k_factor: float):
     q = np.atleast_1d(specfun.marcum_q1(math.sqrt(2.0 * k_factor), b))
     out = 1.0 - q
     return float(out[0]) if scalar else out
-
-
-def sample_power_gain(k_factor: float, rng: np.random.Generator, size=None):
-    """Draw unit-mean squared-Rician gains as |mu + sigma*(g1 + i*g2)|^2."""
-    mu, sigma = amplitude_params(k_factor)
-    shape = () if size is None else size
-    g1 = rng.standard_normal(shape)
-    g2 = rng.standard_normal(shape)
-    s = rician_power_gain(mu, sigma, g1, g2)
-    return float(s) if size is None else s
 
 
 def _link(link_id: str, a: NodePosition, b: NodePosition, env: Environment) -> LinkModel:

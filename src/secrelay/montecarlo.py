@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .channel_models import LinkSet, amplitude_params, sample_power_gain
+from .channel_models import LinkSet, amplitude_params
 from .protocol import FrameRealization, ProtocolConfig, capacity, require_noise
 
 BLOCK_FRAMES = 8192
@@ -85,15 +85,6 @@ class Estimate:
             )
         if self.std_error < 0:
             raise ValueError(f"std_error must be >= 0, got {self.std_error}")
-
-
-def sample_frame(links: LinkSet, stream: np.random.Generator, size=None) -> FrameRealization:
-    """Draw one frame (or a batch) of independent per-link gains."""
-    draws = {
-        f"s_{link.link_id}": sample_power_gain(link.k_factor, stream, size)
-        for link in links.ordered()
-    }
-    return FrameRealization(**draws)
 
 
 def block_stream(seed: int, index: int) -> np.random.Generator:

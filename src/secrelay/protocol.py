@@ -5,15 +5,18 @@ received power between an energy harvester (fraction beta) and the processing
 chain. Phase 2: the relay amplifies and forwards on the harvested budget. The
 destination cancels its own jamming; the eavesdropper cannot.
 
-Every operation broadcasts over numpy arrays, so a FrameRealization may hold
-either scalars or equal-shape arrays of gains.
+sinrs is the only route to the three per-frame SINRs. It writes them with
+the relay gain G, from G^2 (processed power + N_p) = harvested power, already
+substituted, so neither G nor the harvested power appears on its own; the
+tests rebuild both from the received-signal model as an independent check.
+Every operation broadcasts over numpy arrays, so gains may be scalars or
+equal-shape arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -128,38 +131,6 @@ class FrameRealization:
         return (self.s_au, self.s_ub, self.s_ue, self.s_ae, self.s_be)
 
 
-class SecrecyQuantities(NamedTuple):
-    capacity_main: object
-    capacity_eve: object
-    secrecy_rate: object
-
-
-def _arrival_powers(cfg: ProtocolConfig, frame: FrameRealization, links: LinkSet):
-    """Received powers of the source and jamming streams at the relay."""
-    x_a = cfg.source_power * frame.s_au * links.au.large_scale_gain
-    x_b = cfg.jamming_power * frame.s_ub * links.ub.large_scale_gain
-    return x_a, x_b
-
-
-def harvested_power(cfg: ProtocolConfig, frame: FrameRealization, links: LinkSet):
-    """Power banked by the relay in phase 1; the noise floor is harvested too."""
-    x_a, x_b = _arrival_powers(cfg, frame, links)
-    return cfg.harvester_efficiency * cfg.power_split * (x_a + x_b + cfg.noise_power)
-
-
-def relay_gain(cfg: ProtocolConfig, frame: FrameRealization, links: LinkSet):
-    """Amplification G satisfying G^2 * (processed power + N_p) = harvested power."""
-    beta = cfg.power_split
-    if beta == 1.0 and cfg.processing_noise == 0.0:
-        raise ValueError("relay gain undefined: nothing reaches the processing chain")
-    x_a, x_b = _arrival_powers(cfg, frame, links)
-    total = x_a + x_b + cfg.noise_power
-    return np.sqrt(
-        cfg.harvester_efficiency * beta * total
-        / ((1.0 - beta) * total + cfg.processing_noise)
-    )
-
-
 def sinrs(cfg: ProtocolConfig, links: LinkSet, s_au, s_ub, s_ue, s_ae, s_be,
           source_power, jamming_power):
     """(gamma_main, gamma_eve1, gamma_eve2) of frames with the given gains.
@@ -167,8 +138,9 @@ def sinrs(cfg: ProtocolConfig, links: LinkSet, s_au, s_ub, s_ue, s_ae, s_be,
     This is the one place the three SINRs are written; every other route
     evaluates it. The powers are arguments rather than read from cfg, so a
     caller can give each frame its own allocation (arrays broadcast against
-    the gains). The gains are taken as given: FrameRealization validates
-    them where they arrive from outside.
+    the gains). The gains are taken as given: the Monte Carlo engine draws
+    them, and FrameRealization validates those that callers pass to the
+    optimize entry points.
     """
     n0 = cfg.noise_power
     gamma_eve1 = (
@@ -205,41 +177,7 @@ def sinrs(cfg: ProtocolConfig, links: LinkSet, s_au, s_ub, s_ue, s_ae, s_be,
     return relayed * arrived_ub / den_main, gamma_eve1, relayed * arrived_ue / den_eve2
 
 
-def _frame_sinrs(cfg: ProtocolConfig, frame: FrameRealization, links: LinkSet):
-    return sinrs(cfg, links, *frame.gains(), cfg.source_power, cfg.jamming_power)
-
-
-def sinr_main(cfg: ProtocolConfig, frame: FrameRealization, links: LinkSet):
-    """End-to-end SINR of the relayed source stream at the destination."""
-    return _frame_sinrs(cfg, frame, links)[0]
-
-
-def sinr_eve_phase1(cfg: ProtocolConfig, frame: FrameRealization, links: LinkSet):
-    """Eavesdropper SINR on the direct phase-1 signal, degraded by the jammer."""
-    return _frame_sinrs(cfg, frame, links)[1]
-
-
-def sinr_eve_phase2(cfg: ProtocolConfig, frame: FrameRealization, links: LinkSet):
-    """Eavesdropper SINR on the relayed signal; the forwarded jamming remains."""
-    return _frame_sinrs(cfg, frame, links)[2]
-
-
-def sinr_eve(cfg: ProtocolConfig, frame: FrameRealization, links: LinkSet):
-    """Best of the eavesdropper's two interception chances."""
-    _, gamma_1, gamma_2 = _frame_sinrs(cfg, frame, links)
-    return np.maximum(gamma_1, gamma_2)
-
-
 def capacity(gamma):
     """Capacity 0.5 * log2(1 + gamma) in bits/s/Hz; the 1/2 is the two phases."""
     return 0.5 * np.log1p(gamma) / _LN2
 
-
-def secrecy_quantities(
-    cfg: ProtocolConfig, frame: FrameRealization, links: LinkSet
-) -> SecrecyQuantities:
-    """Main capacity, wiretap capacity, and their clamped difference (bits/s/Hz)."""
-    gamma_m, gamma_1, gamma_2 = _frame_sinrs(cfg, frame, links)
-    c_main = capacity(gamma_m)
-    c_eve = capacity(np.maximum(gamma_1, gamma_2))
-    return SecrecyQuantities(c_main, c_eve, np.maximum(c_main - c_eve, 0.0))

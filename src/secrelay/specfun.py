@@ -303,8 +303,8 @@ def log_bessel_k_sequence(nu_max: int, x: float) -> np.ndarray:
     Upward recurrence in log space: the linear recurrence overflows near
     nu ~ 50 for small arguments while the log form cannot.
     """
-    if x <= 0:
-        raise ValueError(f"log_bessel_k_sequence requires x > 0, got {x}")
+    if not 0 < x < math.inf:
+        raise ValueError(f"log_bessel_k_sequence requires finite x > 0, got x={x}")
     out = np.empty(nu_max + 1)
     if x <= 2.0:
         k0, k1 = _k0_k1_small(x)
@@ -346,6 +346,8 @@ def marcum_q1(a: float, b, mode: str = "exact", order: int | None = None):
     if mode == "truncated":
         if order is None:
             raise ValueError("truncated mode needs an order")
+        if not math.isfinite(a) or not math.isfinite(b):
+            raise ValueError(f"truncated marcum_q1 requires finite a and b, got a={a}, b={b}")
         return _marcum_q1_truncated(a, float(b), order)
     raise ValueError(f"unknown marcum_q1 mode {mode!r}")
 

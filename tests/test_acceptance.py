@@ -35,6 +35,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from frame_helpers import draw_frames
 
 from secrelay import analytic as an
 from secrelay import channel_models as cm
@@ -130,7 +131,7 @@ def test_allocation_closed_form_hits_grid_argmax():
     # in test_optimize.py::test_closed_form_hit_count_on_frozen_frames.
     start = time.perf_counter()
     cfg = pr.ProtocolConfig(total_power=watts(80.0))
-    frames = mc.sample_frame(LINKS, mc.block_stream(2024, 0), size=100)
+    frames = draw_frames(LINKS, mc.block_stream(2024, 0), 100)
     consts = opt.sinr_constants(cfg, frames, LINKS)
     residual = 1.0 - 1.0 / (1.0 + np.sqrt(consts.nu))
     assert np.all(consts.c1 > consts.nu), (

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from frame_helpers import frame_sinrs
 
 from secrelay import _kernels as kr
 from secrelay import channel_models as cm
@@ -69,7 +70,5 @@ def test_numpy_kernel_equals_protocol(residual):
     for beta in (0.0, 0.5, 1.0):
         cfg = pr.ProtocolConfig(total_power=100.0, power_split=beta,
                                 include_residual_epsilon=residual)
-        gm, g1, g2 = run_kernel(z, cfg)
-        np.testing.assert_array_equal(gm, pr.sinr_main(cfg, frame, LINKS))
-        np.testing.assert_array_equal(g1, pr.sinr_eve_phase1(cfg, frame, LINKS))
-        np.testing.assert_array_equal(g2, pr.sinr_eve_phase2(cfg, frame, LINKS))
+        for got, want in zip(run_kernel(z, cfg), frame_sinrs(cfg, frame, LINKS)):
+            np.testing.assert_array_equal(got, want)

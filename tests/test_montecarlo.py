@@ -7,6 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from frame_helpers import frame_sinrs
 
 from secrelay import _kernels
 from secrelay import channel_models as cm
@@ -47,11 +48,7 @@ def reference_metrics(cfg, links, plan):
         amp = mu + sigma * z[:, :, 0]
         gains = amp * amp + (sigma * z[:, :, 1]) ** 2
         frame = pr.FrameRealization(*[gains[:, j] for j in range(5)])
-        parts.append((
-            pr.sinr_main(cfg, frame, links),
-            pr.sinr_eve_phase1(cfg, frame, links),
-            pr.sinr_eve_phase2(cfg, frame, links),
-        ))
+        parts.append(frame_sinrs(cfg, frame, links))
     return tuple(np.concatenate(cols) for cols in zip(*parts))
 
 
@@ -192,7 +189,7 @@ def test_secrecy_rate_bounded_by_main_capacity():
     plan = mc.SimulationPlan(frames=20_000, seed=6)
     cap = mc.estimate_functional(
         CFG, LINKS, plan,
-        lambda frame: 0.5 * np.log2(1.0 + pr.sinr_main(CFG, frame, LINKS)))
+        lambda frame: 0.5 * np.log2(1.0 + frame_sinrs(CFG, frame, LINKS)[0]))
     asr = mc.estimate_asr(CFG, LINKS, plan)
     assert asr.mean < cap.mean
 
@@ -203,10 +200,10 @@ def test_outage_factorises_over_independent_phases():
     delta = CFG.delta_e
     p1 = mc.estimate_functional(
         CFG, LINKS, plan,
-        lambda f: (pr.sinr_eve_phase1(CFG, f, LINKS) > delta).astype(float))
+        lambda f: (frame_sinrs(CFG, f, LINKS)[1] > delta).astype(float))
     p2 = mc.estimate_functional(
         CFG, LINKS, plan,
-        lambda f: (pr.sinr_eve_phase2(CFG, f, LINKS) > delta).astype(float))
+        lambda f: (frame_sinrs(CFG, f, LINKS)[2] > delta).astype(float))
     sop = mc.estimate_sop(CFG, LINKS, plan)
     predicted = 1.0 - (1.0 - p1.mean) * (1.0 - p2.mean)
     gap_se = np.sqrt(p1.std_error**2 + p2.std_error**2 + sop.std_error**2)
@@ -229,7 +226,7 @@ def test_indicator_functional_matches_cp():
     delta = CFG.delta_t
     est = mc.estimate_functional(
         CFG, LINKS, plan,
-        lambda f: (pr.sinr_main(CFG, f, LINKS) > delta).astype(float))
+        lambda f: (frame_sinrs(CFG, f, LINKS)[0] > delta).astype(float))
     cp = mc.estimate_cp(CFG, LINKS, plan)
     assert est.mean == cp.mean
     # sample-variance versus binomial error bar differ only by n/(n-1)
@@ -240,7 +237,7 @@ def test_indicator_functional_matches_cp():
 def test_frozen_eavesdropper_mean():
     plan = mc.SimulationPlan(frames=50_000, seed=5)
     est = mc.estimate_functional(
-        CFG, LINKS, plan, lambda f: pr.sinr_eve_phase1(CFG, f, LINKS))
+        CFG, LINKS, plan, lambda f: frame_sinrs(CFG, f, LINKS)[1])
     assert est.mean == pytest.approx(FROZEN_EVE1_MEAN, rel=1e-12)
 
 
@@ -262,29 +259,26 @@ def test_functional_must_stay_finite():
 
 
 # ---------------------------------------------------------------------------
-# reference sampler
+# block gains
 
 
-def test_sample_frame_reproducible_and_shapes():
-    a = mc.sample_frame(LINKS, mc.block_stream(5, 0))
-    b = mc.sample_frame(LINKS, mc.block_stream(5, 0))
-    assert a == b
-    assert isinstance(a.s_au, float)
-    batch = mc.sample_frame(LINKS, mc.block_stream(5, 0), size=64)
-    assert batch.s_au.shape == (64,)
+def block_gains(seed, length):
+    """The per-link gains of block 0 of seed, as the engine computes them."""
+    mu, sigma = mc._link_arrays(LINKS)
+    z = mc.block_stream(seed, 0).standard_normal((length, 5, 2))
+    return _kernels.power_gains(z, mu, sigma)
 
 
-def test_sample_frame_k0_marginal_is_exponential():
-    batch = mc.sample_frame(LINKS, mc.block_stream(17, 0), size=100_000)
-    draws = np.sort(batch.s_ae)  # zero Rice factor on that link
+def test_block_gains_k0_marginal_is_exponential():
+    draws = np.sort(block_gains(17, 100_000)[3])  # zero Rice factor on ae
     grid = (np.arange(draws.size) + 0.5) / draws.size
     ks = np.max(np.abs(grid - (1.0 - np.exp(-draws))))
     assert ks < 1.628 / np.sqrt(draws.size)
 
 
-def test_sample_frame_links_uncorrelated():
-    batch = mc.sample_frame(LINKS, mc.block_stream(23, 0), size=20_000)
-    corr = np.corrcoef(np.vstack([batch.s_au, batch.s_ub, batch.s_ue]))
+def test_block_gains_links_uncorrelated():
+    s_au, s_ub, s_ue, _, _ = block_gains(23, 20_000)
+    corr = np.corrcoef(np.vstack([s_au, s_ub, s_ue]))
     off_diag = corr[np.triu_indices(3, k=1)]
     assert np.max(np.abs(off_diag)) < 0.02
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from frame_helpers import draw_frames, frame_sinrs
 from hypothesis import assume, given, settings, strategies as st
 
 from secrelay import channel_models as cm
@@ -32,7 +33,7 @@ UNIT_LINKS = cm.LinkSet(
     be=cm.LinkModel("be", 0.0, 1.0),
 )
 
-FRAMES = mc.sample_frame(LINKS, mc.block_stream(2024, 0), size=100)
+FRAMES = draw_frames(LINKS, mc.block_stream(2024, 0), 100)
 
 # Measured once on the frozen frame stream above, then pinned. The first
 # frames show the typical drift between the closed form and the exact grid
@@ -274,7 +275,7 @@ def test_closed_form_accurate_under_its_premise():
         ue=cm.LinkModel("ue", 0.0, 1.0), ae=cm.LinkModel("ae", 0.0, 1e-6),
         be=cm.LinkModel("be", 0.0, 1.0),
     )
-    frames = mc.sample_frame(dominated, mc.block_stream(2024, 2), size=100)
+    frames = draw_frames(dominated, mc.block_stream(2024, 2), 100)
     cfg = pr.ProtocolConfig(total_power=1e5)
     brute = opt.brute_force_lambda(cfg, frames, dominated)
     eligible, hits = 0, 0
@@ -418,8 +419,8 @@ def replayed_policy_mean(cfg, plan):
     """Replay the policy on the plan's single block, frame by frame.
 
     Each frame's allocation is chosen by the closed-form rule on its
-    SinrConstants; its rate is then read from the protocol SINRs through
-    pr.secrecy_quantities at that allocation.
+    SinrConstants; its rate is then read from the protocol SINRs at that
+    allocation.
     """
     assert plan.frames <= mc.BLOCK_FRAMES
     mu = np.array([cm.amplitude_params(l.k_factor)[0] for l in LINKS.ordered()])
@@ -440,8 +441,8 @@ def replayed_policy_mean(cfg, plan):
             cand = [opt._rate_from_constants(g, ci) for g in fallback_grid]
             lam = float(fallback_grid[int(np.argmax(cand))])
         frame = pr.FrameRealization(*(float(g[i]) for g in frames.gains()))
-        rates[i] = pr.secrecy_quantities(
-            replace(cfg, allocation=lam), frame, LINKS).secrecy_rate
+        gm, g1, g2 = frame_sinrs(replace(cfg, allocation=lam), frame, LINKS)
+        rates[i] = np.maximum(pr.capacity(gm) - pr.capacity(np.maximum(g1, g2)), 0.0)
     return float(rates.mean())
 
 

@@ -1,14 +1,18 @@
-"""Two-phase protocol physics: power budget, relay gain, SINRs, secrecy.
+"""Two-phase protocol physics: power budget, SINRs, secrecy.
 
-The SINR closed forms are checked against an independent composition route
-(explicit relay gain applied to the received-signal model), which they must
-equal exactly when the processing-noise ratio is zero.
+protocol.sinrs is the only SINR route, and it writes the SINRs with the relay
+gain already substituted. This file keeps an independent, unsubstituted
+reference: harvested_power and relay_gain below build the relay gain from the
+received-signal model, and composition_route applies it. The substituted
+closed forms must equal that composition when the processing-noise ratio is
+zero.
 """
 
 import math
 
 import numpy as np
 import pytest
+from frame_helpers import draw_frames, frame_sinrs
 
 from secrelay import channel_models as cm
 from secrelay import geometry as geo
@@ -28,21 +32,41 @@ ONES = pr.FrameRealization(1.0, 1.0, 1.0, 1.0, 1.0)
 
 
 def random_frames(n, seed):
-    rng = np.random.default_rng(seed)
-    gains = {
-        f"s_{name}": cm.sample_power_gain(getattr(LINKS, name).k_factor, rng, n)
-        for name in cm.LINK_IDS
-    }
-    return pr.FrameRealization(**gains)
+    return draw_frames(LINKS, np.random.default_rng(seed), n)
+
+
+def arrival_powers(cfg, frame, links):
+    """Received powers of the source and jamming streams at the relay."""
+    x_a = cfg.source_power * frame.s_au * links.au.large_scale_gain
+    x_b = cfg.jamming_power * frame.s_ub * links.ub.large_scale_gain
+    return x_a, x_b
+
+
+def harvested_power(cfg, frame, links):
+    """Power banked by the relay in phase 1; the noise floor is harvested too."""
+    x_a, x_b = arrival_powers(cfg, frame, links)
+    return cfg.harvester_efficiency * cfg.power_split * (x_a + x_b + cfg.noise_power)
+
+
+def relay_gain(cfg, frame, links):
+    """Amplification G satisfying G^2 * (processed power + N_p) = harvested power."""
+    beta = cfg.power_split
+    if beta == 1.0 and cfg.processing_noise == 0.0:
+        raise ValueError("relay gain undefined: nothing reaches the processing chain")
+    x_a, x_b = arrival_powers(cfg, frame, links)
+    total = x_a + x_b + cfg.noise_power
+    return np.sqrt(
+        cfg.harvester_efficiency * beta * total
+        / ((1.0 - beta) * total + cfg.processing_noise)
+    )
 
 
 def composition_route(cfg, frame, links):
     """gamma_main and gamma_eve2 rebuilt from the relay gain, exact at zeta=0."""
     beta = cfg.power_split
     n0 = cfg.noise_power
-    g2 = pr.relay_gain(cfg, frame, links) ** 2
-    x_a = cfg.source_power * frame.s_au * links.au.large_scale_gain
-    x_b = cfg.jamming_power * frame.s_ub * links.ub.large_scale_gain
+    g2 = relay_gain(cfg, frame, links) ** 2
+    x_a, x_b = arrival_powers(cfg, frame, links)
     fwd_b = frame.s_ub * links.ub.large_scale_gain * g2
     fwd_e = frame.s_ue * links.ue.large_scale_gain * g2
     gamma_b = (1.0 - beta) * x_a * fwd_b / (
@@ -112,26 +136,26 @@ def test_frame_rejects_bad_gains():
 
 def test_harvested_power_zero_split():
     cfg = pr.ProtocolConfig(total_power=100.0, power_split=0.0)
-    assert pr.harvested_power(cfg, ONES, LINKS) == 0.0
+    assert harvested_power(cfg, ONES, LINKS) == 0.0
 
 
 def test_harvested_power_full_harvest_toy():
     cfg = pr.ProtocolConfig(
         total_power=2.0, power_split=1.0, harvester_efficiency=1.0, noise_power=0.0
     )
-    assert pr.harvested_power(cfg, ONES, UNIT_LINKS) == pytest.approx(2.0, rel=1e-15)
+    assert harvested_power(cfg, ONES, UNIT_LINKS) == pytest.approx(2.0, rel=1e-15)
 
 
 def test_harvested_power_default_layout_frozen():
     cfg = pr.ProtocolConfig(total_power=100.0)
-    assert pr.harvested_power(cfg, ONES, LINKS) == pytest.approx(
+    assert harvested_power(cfg, ONES, LINKS) == pytest.approx(
         2.8439214850197887, rel=1e-14
     )
 
 
 def test_relay_gain_zero_split():
     cfg = pr.ProtocolConfig(total_power=100.0, power_split=0.0)
-    assert pr.relay_gain(cfg, ONES, LINKS) == 0.0
+    assert relay_gain(cfg, ONES, LINKS) == 0.0
 
 
 def test_relay_gain_balanced_toy_is_unity():
@@ -139,26 +163,26 @@ def test_relay_gain_balanced_toy_is_unity():
         total_power=2.0, harvester_efficiency=1.0, noise_power=0.0,
         processing_noise_ratio=0.0,
     )
-    assert pr.relay_gain(cfg, ONES, UNIT_LINKS) == pytest.approx(1.0, rel=1e-15)
+    assert relay_gain(cfg, ONES, UNIT_LINKS) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_relay_gain_identity_on_random_frames():
     cfg = pr.ProtocolConfig(total_power=100.0)
     frames = random_frames(20_000, 3)
-    g = pr.relay_gain(cfg, frames, LINKS)
+    g = relay_gain(cfg, frames, LINKS)
     x_a = cfg.source_power * frames.s_au * LINKS.au.large_scale_gain
     x_b = cfg.jamming_power * frames.s_ub * LINKS.ub.large_scale_gain
     den = 0.5 * (x_a + x_b + cfg.noise_power) + cfg.processing_noise
-    np.testing.assert_allclose(g * g * den, pr.harvested_power(cfg, frames, LINKS), rtol=1e-12)
+    np.testing.assert_allclose(g * g * den, harvested_power(cfg, frames, LINKS), rtol=1e-12)
 
 
 def test_relay_gain_rejects_empty_processing_chain():
     cfg = pr.ProtocolConfig(total_power=1.0, power_split=1.0, processing_noise_ratio=0.0)
     with pytest.raises(ValueError):
-        pr.relay_gain(cfg, ONES, LINKS)
+        relay_gain(cfg, ONES, LINKS)
     # with processing noise present the beta = 1 gain is still defined
     ok = pr.ProtocolConfig(total_power=1.0, power_split=1.0, processing_noise_ratio=2.0)
-    assert np.isfinite(pr.relay_gain(ok, ONES, LINKS))
+    assert np.isfinite(relay_gain(ok, ONES, LINKS))
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +192,9 @@ def test_relay_gain_rejects_empty_processing_chain():
 def test_sinr_main_vanishes_at_split_endpoints():
     for beta in (0.0, 1.0):
         cfg = pr.ProtocolConfig(total_power=100.0, power_split=beta)
-        assert pr.sinr_main(cfg, ONES, LINKS) == 0.0
+        assert frame_sinrs(cfg, ONES, LINKS)[0] == 0.0
     cfg = pr.ProtocolConfig(total_power=100.0, power_split=0.0)
-    out = pr.sinr_main(cfg, random_frames(8, 0), LINKS)
+    out = frame_sinrs(cfg, random_frames(8, 0), LINKS)[0]
     assert out.shape == (8,) and np.all(out == 0.0)
 
 
@@ -181,15 +205,16 @@ def test_sinr_main_toy_hand_value():
         total_power=4.0, harvester_efficiency=1.0, noise_power=1.0,
         processing_noise_ratio=0.0,
     )
-    assert pr.sinr_main(cfg, ONES, UNIT_LINKS) == pytest.approx(2.0 / 3.0, rel=1e-15)
+    assert frame_sinrs(cfg, ONES, UNIT_LINKS)[0] == pytest.approx(2.0 / 3.0, rel=1e-15)
 
 
 def test_sinr_main_matches_composition_at_zero_zeta():
     cfg = pr.ProtocolConfig(total_power=100.0, processing_noise_ratio=0.0)
     frames = random_frames(20_000, 11)
     gamma_b, gamma_e = composition_route(cfg, frames, LINKS)
-    np.testing.assert_allclose(pr.sinr_main(cfg, frames, LINKS), gamma_b, rtol=1e-12)
-    np.testing.assert_allclose(pr.sinr_eve_phase2(cfg, frames, LINKS), gamma_e, rtol=1e-12)
+    gamma_m, _, gamma_2 = frame_sinrs(cfg, frames, LINKS)
+    np.testing.assert_allclose(gamma_m, gamma_b, rtol=1e-12)
+    np.testing.assert_allclose(gamma_2, gamma_e, rtol=1e-12)
 
 
 def test_sinr_main_monotone_in_source_gain_and_power():
@@ -199,9 +224,10 @@ def test_sinr_main_monotone_in_source_gain_and_power():
         s_au=frames.s_au * 1.3, s_ub=frames.s_ub, s_ue=frames.s_ue,
         s_ae=frames.s_ae, s_be=frames.s_be,
     )
-    assert np.all(pr.sinr_main(cfg, bumped, LINKS) > pr.sinr_main(cfg, frames, LINKS))
+    base = frame_sinrs(cfg, frames, LINKS)[0]
+    assert np.all(frame_sinrs(cfg, bumped, LINKS)[0] > base)
     richer = pr.ProtocolConfig(total_power=130.0, include_residual_epsilon=True)
-    assert np.all(pr.sinr_main(richer, frames, LINKS) > pr.sinr_main(cfg, frames, LINKS))
+    assert np.all(frame_sinrs(richer, frames, LINKS)[0] > base)
 
 
 def test_sinr_main_unimodal_in_beta():
@@ -212,9 +238,9 @@ def test_sinr_main_unimodal_in_beta():
             *[float(np.asarray(getattr(frames, f"s_{n}"))[i]) for n in cm.LINK_IDS]
         )
         vals = np.array([
-            pr.sinr_main(
+            frame_sinrs(
                 pr.ProtocolConfig(total_power=100.0, power_split=float(b)), one, LINKS
-            )
+            )[0]
             for b in betas
         ])
         rises = np.sign(np.diff(vals))
@@ -225,10 +251,10 @@ def test_residual_epsilon_lowers_sinr_but_stays_small_in_mean():
     frames = random_frames(20_000, 13)
     for p_dbw in (20.0, 25.0, 30.0):
         p = 10.0 ** (p_dbw / 10.0)
-        off = pr.sinr_main(pr.ProtocolConfig(total_power=p), frames, LINKS)
-        on = pr.sinr_main(
+        off = frame_sinrs(pr.ProtocolConfig(total_power=p), frames, LINKS)[0]
+        on = frame_sinrs(
             pr.ProtocolConfig(total_power=p, include_residual_epsilon=True), frames, LINKS
-        )
+        )[0]
         assert np.all(on < off)  # extra noise can only hurt
         assert abs(on.mean() - off.mean()) / off.mean() < 0.01
 
@@ -239,16 +265,16 @@ def test_residual_epsilon_lowers_sinr_but_stays_small_in_mean():
 
 def test_sinr_eve_phase1_no_jamming_toy():
     cfg = pr.ProtocolConfig(total_power=2.0, allocation=1.0, noise_power=1.0)
-    assert pr.sinr_eve_phase1(cfg, ONES, UNIT_LINKS) == pytest.approx(2.0, rel=1e-15)
+    assert frame_sinrs(cfg, ONES, UNIT_LINKS)[1] == pytest.approx(2.0, rel=1e-15)
 
 
 def test_sinr_eve_phase1_jamming_dominance():
     # jamming power grows with fixed source power: the leak must vanish
     p_a = 10.0
     values = [
-        pr.sinr_eve_phase1(
+        frame_sinrs(
             pr.ProtocolConfig(total_power=p_a / lam, allocation=lam), ONES, LINKS
-        )
+        )[1]
         for lam in (0.9, 0.5, 0.1, 0.01, 1e-6)
     ]
     assert all(b < a for a, b in zip(values, values[1:]))
@@ -258,7 +284,7 @@ def test_sinr_eve_phase1_jamming_dominance():
 def test_sinr_eve_phase2_vanishes_at_split_endpoints():
     for beta in (0.0, 1.0):
         cfg = pr.ProtocolConfig(total_power=100.0, power_split=beta)
-        assert pr.sinr_eve_phase2(cfg, ONES, LINKS) == 0.0
+        assert frame_sinrs(cfg, ONES, LINKS)[2] == 0.0
 
 
 def test_sinr_eve_phase2_no_jamming_toy():
@@ -267,17 +293,15 @@ def test_sinr_eve_phase2_no_jamming_toy():
         total_power=2.0, allocation=1.0, harvester_efficiency=1.0,
         noise_power=1.0, processing_noise_ratio=0.0,
     )
-    assert pr.sinr_eve_phase2(cfg, ONES, UNIT_LINKS) == pytest.approx(2.0 / 3.0, rel=1e-15)
+    assert frame_sinrs(cfg, ONES, UNIT_LINKS)[2] == pytest.approx(2.0 / 3.0, rel=1e-15)
 
 
 def test_sinr_eve_is_the_phase_maximum():
+    # the eavesdropper keeps the better of its two chances, and on these
+    # frames each phase is the better one somewhere
     cfg = pr.ProtocolConfig(total_power=100.0)
-    frames = random_frames(5_000, 17)
-    combined = pr.sinr_eve(cfg, frames, LINKS)
-    g1 = pr.sinr_eve_phase1(cfg, frames, LINKS)
-    g2 = pr.sinr_eve_phase2(cfg, frames, LINKS)
-    np.testing.assert_array_equal(combined, np.maximum(g1, g2))
-    assert np.any(combined == g1) and np.any(combined == g2)  # both phases matter
+    _, g1, g2 = frame_sinrs(cfg, random_frames(5_000, 17), LINKS)
+    assert np.any(g1 > g2) and np.any(g2 > g1)
 
 
 def test_sinr_eve_non_increasing_in_jamming_power():
@@ -286,7 +310,8 @@ def test_sinr_eve_non_increasing_in_jamming_power():
     prev = None
     for lam in (0.9, 0.5, 0.2, 0.05, 0.01):
         cfg = pr.ProtocolConfig(total_power=p_a / lam, allocation=lam)
-        cur = pr.sinr_eve(cfg, frames, LINKS)
+        _, g1, g2 = frame_sinrs(cfg, frames, LINKS)
+        cur = np.maximum(g1, g2)
         if prev is not None:
             assert np.all(cur <= prev * (1.0 + 1e-12))
         prev = cur
@@ -295,23 +320,19 @@ def test_sinr_eve_non_increasing_in_jamming_power():
 def test_phase_sinrs_use_disjoint_gain_coordinates():
     cfg = pr.ProtocolConfig(total_power=100.0)
     frames = random_frames(100, 23)
+    gm, g1, g2 = frame_sinrs(cfg, frames, LINKS)
     relay_bumped = pr.FrameRealization(
         s_au=frames.s_au * 2.0, s_ub=frames.s_ub * 3.0, s_ue=frames.s_ue * 1.7,
         s_ae=frames.s_ae, s_be=frames.s_be,
     )
-    np.testing.assert_array_equal(
-        pr.sinr_eve_phase1(cfg, frames, LINKS), pr.sinr_eve_phase1(cfg, relay_bumped, LINKS)
-    )
+    np.testing.assert_array_equal(g1, frame_sinrs(cfg, relay_bumped, LINKS)[1])
     direct_bumped = pr.FrameRealization(
         s_au=frames.s_au, s_ub=frames.s_ub, s_ue=frames.s_ue,
         s_ae=frames.s_ae * 2.0, s_be=frames.s_be * 3.0,
     )
-    np.testing.assert_array_equal(
-        pr.sinr_eve_phase2(cfg, frames, LINKS), pr.sinr_eve_phase2(cfg, direct_bumped, LINKS)
-    )
-    np.testing.assert_array_equal(
-        pr.sinr_main(cfg, frames, LINKS), pr.sinr_main(cfg, direct_bumped, LINKS)
-    )
+    gm_direct, _, g2_direct = frame_sinrs(cfg, direct_bumped, LINKS)
+    np.testing.assert_array_equal(g2, g2_direct)
+    np.testing.assert_array_equal(gm, gm_direct)
 
 
 # ---------------------------------------------------------------------------
@@ -320,17 +341,14 @@ def test_phase_sinrs_use_disjoint_gain_coordinates():
 
 def test_secrecy_quantities_identities():
     cfg = pr.ProtocolConfig(total_power=100.0)
-    frames = random_frames(5_000, 29)
-    out = pr.secrecy_quantities(cfg, frames, LINKS)
-    gm = pr.sinr_main(cfg, frames, LINKS)
-    ge = pr.sinr_eve(cfg, frames, LINKS)
-    np.testing.assert_allclose(out.capacity_main, 0.5 * np.log2(1.0 + gm), rtol=1e-12)
-    np.testing.assert_allclose(out.capacity_eve, 0.5 * np.log2(1.0 + ge), rtol=1e-12)
-    np.testing.assert_array_equal(
-        out.secrecy_rate, np.maximum(out.capacity_main - out.capacity_eve, 0.0)
-    )
-    assert np.all(out.secrecy_rate <= out.capacity_main)
-    assert np.all(out.secrecy_rate[ge >= gm] == 0.0)
+    gm, g1, g2 = frame_sinrs(cfg, random_frames(5_000, 29), LINKS)
+    ge = np.maximum(g1, g2)
+    c_main, c_eve = pr.capacity(gm), pr.capacity(ge)
+    np.testing.assert_allclose(c_main, 0.5 * np.log2(1.0 + gm), rtol=1e-12)
+    np.testing.assert_allclose(c_eve, 0.5 * np.log2(1.0 + ge), rtol=1e-12)
+    rate = np.maximum(c_main - c_eve, 0.0)
+    assert np.all(rate <= c_main)
+    assert np.all(rate[ge >= gm] == 0.0)
 
 
 def test_secrecy_rate_clamps_when_eavesdropper_wins():
@@ -342,9 +360,9 @@ def test_secrecy_rate_clamps_when_eavesdropper_wins():
         be=cm.LinkModel("be", 0.0, 1e-9),
     )
     cfg = pr.ProtocolConfig(total_power=100.0)
-    out = pr.secrecy_quantities(cfg, ONES, strong_eve)
-    assert out.capacity_eve > out.capacity_main
-    assert out.secrecy_rate == 0.0
+    gm, g1, g2 = frame_sinrs(cfg, ONES, strong_eve)
+    # the wiretap capacity wins, so the clamped rate of estimate_asr is 0
+    assert pr.capacity(max(g1, g2)) > pr.capacity(gm)
 
 
 def test_secrecy_rate_approaches_main_capacity_without_leaks():
@@ -355,5 +373,6 @@ def test_secrecy_rate_approaches_main_capacity_without_leaks():
         be=LINKS.be,
     )
     cfg = pr.ProtocolConfig(total_power=100.0)
-    out = pr.secrecy_quantities(cfg, ONES, deaf_eve)
-    assert out.secrecy_rate == pytest.approx(out.capacity_main, rel=1e-12)
+    gm, g1, g2 = frame_sinrs(cfg, ONES, deaf_eve)
+    c_main = pr.capacity(gm)
+    assert max(c_main - pr.capacity(max(g1, g2)), 0.0) == pytest.approx(c_main, rel=1e-12)

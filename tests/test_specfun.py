@@ -190,6 +190,13 @@ def test_bessel_i_truncated_guards():
 # Bessel K (log sequence)
 
 
+def test_bessel_k_rejects_non_finite():
+    # once six silent NaNs and "math domain error"
+    for x in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"x={x}"):
+            sf.log_bessel_k_sequence(5, x)
+
+
 def test_bessel_k_frozen():
     # adaptive quadrature of the cosh integral
     k0 = math.exp(sf.log_bessel_k_sequence(0, 1.0)[0])
@@ -313,6 +320,14 @@ def test_marcum_rejects_nan():
             sf.marcum_q1(1.0, math.nan, mode=mode, order=25)
     with pytest.raises(ValueError, match="b="):
         sf.marcum_q1(1.0, np.array([0.5, math.nan]))
+    # truncated mode once raised "NaN log magnitude in signed_logsumexp";
+    # exact mode keeps Q1(a, inf) = 0 and its overflow error at a = inf
+    for a, b, name in ((math.inf, 1.0, "a=inf"), (1.0, math.inf, "b=inf")):
+        with pytest.raises(ValueError, match=name):
+            sf.marcum_q1(a, b, mode="truncated", order=25)
+    assert sf.marcum_q1(1.0, math.inf) == 0.0
+    with pytest.raises(sf.SeriesOverflowError):
+        sf.marcum_q1(math.inf, 1.0)
 
 
 def test_marcum_exact_overflow_guard():

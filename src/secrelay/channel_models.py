@@ -111,7 +111,7 @@ def squared_rician_pdf(x, k_factor: float):
     z = 2.0 * np.sqrt(k_factor * kp1 * xs)
     near = z <= 600.0
     log_i0 = np.empty(z.shape)
-    log_i0[near] = np.log(specfun.bessel_i(0.0, z[near]))
+    log_i0[near] = np.log(specfun.bessel_i(z[near]))
     # Hankel expansion; five terms reach double precision for z > 600.
     far = z[~near]
     u = 1.0 / (8.0 * far)

@@ -296,8 +296,8 @@ def cmd_specfun_check(cfg: ExperimentConfig, out_dir: Path) -> int:
 
     worst = 0.0
     x_grid = np.linspace(0.01, 10.0, 60)
-    for x, ref in zip(x_grid.tolist(), sf.bessel_i(0.0, x_grid).tolist()):
-        approx = sf.bessel_i(0.0, x, mode="truncated", order=cfg.orders.R)
+    for x, ref in zip(x_grid.tolist(), sf.bessel_i(x_grid).tolist()):
+        approx = sf.bessel_i(x, mode="truncated", order=cfg.orders.R)
         worst = max(worst, abs(approx - ref) / ref)
     checks.append(("bessel_i0", cfg.orders.R, "rel", worst, BESSEL_I0_CEILING))
 
@@ -403,8 +403,9 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg, args.kind, powers, out_dir)
         return cmd_specfun_check(cfg, out_dir)
-    except (ConfigError, mc.NonFiniteSinrError) as exc:
-        # a finite power whose SINRs leave double range is a bad input too
+    except (ConfigError, mc.NonFiniteSinrError, sf.SeriesOverflowError) as exc:
+        # a finite power whose SINRs leave double range is a bad input too,
+        # and so is a truncation order whose series leaves it
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

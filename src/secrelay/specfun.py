@@ -155,33 +155,28 @@ def _dyadic_edges(upper: float, splits: int = 54) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # modified Bessel I
 
-def bessel_i(nu: float, x, mode: str = "exact", order: int | None = None):
-    """Modified Bessel function of the first kind, order nu >= 0, x >= 0.
+def bessel_i(x, mode: str = "exact", order: int | None = None):
+    """Modified Bessel function of the first kind of order 0, x >= 0.
 
     Exact mode sums the ascending series adaptively; ``x`` may be an array
-    there. Truncated mode (order-0 only, scalar x) evaluates the finite
-    surrogate of depth ``order`` that the metric series inherit their
-    weights from.
+    there. Truncated mode (scalar x) evaluates the finite surrogate of depth
+    ``order`` that the metric series inherit their weights from.
     """
     # written as "not >=" so that NaN fails too
-    if not nu >= 0:
-        raise ValueError(f"bessel_i requires nu >= 0, got nu={nu}")
     if not np.all(np.asarray(x) >= 0):
         raise ValueError(f"bessel_i requires x >= 0, got x={x}")
     if mode == "exact":
-        value = _bessel_i_series(nu, x)
+        value = _bessel_i0_series(x)
         return float(value) if np.ndim(x) == 0 else value
     if mode == "truncated":
-        if nu != 0:
-            raise ValueError("truncated mode is defined for order nu = 0 only")
         if order is None:
             raise ValueError("truncated mode needs an order")
         return _bessel_i0_truncated(x, order)
     raise ValueError(f"unknown bessel_i mode {mode!r}")
 
 
-def _bessel_i_series(nu: float, x) -> np.ndarray:
-    """Ascending series of I_nu at every element of x >= 0.
+def _bessel_i0_series(x) -> np.ndarray:
+    """Ascending series of I0 at every element of x >= 0.
 
     Each element runs the operations of the scalar series loop. Past
     k > x/2 its terms only shrink, so once a term is at most 1e-17 of its
@@ -191,23 +186,14 @@ def _bessel_i_series(nu: float, x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     if np.any(x > _LOG_HUGE):
-        raise SeriesOverflowError(
-            f"bessel_i({nu}, {x.max()}) exceeds double range")
+        raise SeriesOverflowError(f"bessel_i({x.max()}) exceeds double range")
     half = 0.5 * x
-    if nu == 0:
-        # exp(0 * ln(half) - lgamma(1)) is exactly 1
-        term = np.ones_like(half)
-    else:
-        # math's exp and log, not numpy's: the two differ in the last bit.
-        # A half that underflows (x a denormal) is the origin, I_nu = 0.
-        lg = math.lgamma(nu + 1.0)
-        term = np.array([math.exp(nu * math.log(h) - lg) if h else 0.0
-                         for h in half.flat]).reshape(half.shape)
+    term = np.ones_like(half)
     total = term.copy()
     q = half * half
     top = half.max(initial=0.0)
     for k in range(1, 20000):
-        term *= q / (k * (nu + k))
+        term *= q / (k * k)
         total += term
         if k > top and np.all(term <= 1e-17 * total):
             return total
@@ -229,76 +215,32 @@ def _bessel_i0_truncated(x: float, order: int) -> float:
 # ---------------------------------------------------------------------------
 # modified Bessel K (integer order)
 
-def _k0_k1_small(x: float) -> tuple[float, float]:
-    """Ascending series for K0 and K1, reliable for 0 < x <= 2."""
-    q = 0.25 * x * x
-    lh = math.log(0.5 * x)
-    # K0 = -(ln(x/2) + gamma) I0 + sum_{k>=1} H_k q^k / (k!)^2
-    i0 = float(_bessel_i_series(0.0, x))
-    i1 = float(_bessel_i_series(1.0, x))
-    s0 = 0.0
-    term = 1.0
-    h = 0.0
-    for k in range(1, 400):
-        term *= q / (k * k)
-        h += 1.0 / k
-        contrib = term * h
-        s0 += contrib
-        if contrib < 1e-18 * (abs(s0) + 1.0):
-            break
-    k0 = -(lh + EULER_GAMMA) * i0 + s0
-    # K1 = ln(x/2) I1 + 1/x - (x/4) sum_{k>=0} [psi(k+1)+psi(k+2)] q^k / (k! (k+1)!)
-    s1 = 0.0
-    term = 1.0
-    for k in range(0, 400):
-        psi_sum = 2.0 * _harmonic(k) + 1.0 / (k + 1) - 2.0 * EULER_GAMMA
-        contrib = term * psi_sum
-        s1 += contrib
-        if abs(contrib) < 1e-18 * (abs(s1) + 1.0) and k > 2:
-            break
-        term *= q / ((k + 1) * (k + 2))
-    k1 = lh * i1 + 1.0 / x - 0.25 * x * s1
-    return k0, k1
+def _log_k0_k1(x: float) -> tuple[float, float]:
+    """ln K0(x) and ln K1(x) for every finite x > 0.
 
-
-def _harmonic(k: int) -> float:
-    return sum(1.0 / j for j in range(1, k + 1))
-
-
-def _k_cosh_integral(nu: float, x: float) -> float:
-    """K_nu(x) = integral_0^inf exp(-x cosh t) cosh(nu t) dt, for 2 < x <= 600.
-
-    The integrand is even and analytic, so the trapezoid rule converges
-    geometrically in the step size.
+    K_nu(x) = e^-x integral_0^inf exp(-2x sinh^2(t/2)) cosh(nu t) dt. The
+    integrand is even and analytic in a strip about the real axis, so the
+    trapezoid rule converges exponentially in 1/h (Trefethen & Weideman,
+    SIAM Review 56, 2014). The nodes stop where 2x sinh^2(t/2) reaches 746,
+    past which every term is below e^-746 of the first. Summed in logs,
+    with ln cosh t = t + ln(1 + e^-2t) - ln 2, neither e^-x nor K1 ~ 1/x
+    leaves double range.
     """
-    t_max = math.acosh(1.0 + 746.0 / x)
-    h = 1.0 / 128.0
-    n = int(t_max / h) + 2
-    t = h * np.arange(n + 1)
-    vals = np.exp(-x * np.cosh(t)) * np.cosh(nu * t)
-    vals[0] *= 0.5
-    return h * float(np.sum(vals))
-
-
-def _log_k_asymptotic(nu: float, x: float) -> float:
-    """ln K_nu(x) from the large-argument expansion; needs x >> nu^2.
-
-    exp(-x) underflows past x ~ 745, so the direct integral cannot reach
-    this regime; the expansion is already at machine precision by x = 600.
-    """
-    mu4 = 4.0 * nu * nu
-    term = 1.0
-    total = 1.0
-    for k in range(1, 24):
-        term *= (mu4 - (2.0 * k - 1.0) ** 2) / (8.0 * k * x)
-        total += term
-        if abs(term) < 1e-18 * abs(total):
-            break
-    return 0.5 * math.log(math.pi / (2.0 * x)) - x + math.log(total)
+    h = min(0.125, 0.5 / math.sqrt(x))
+    root = math.sqrt(2.0 * x)
+    t_max = 2.0 * math.asinh(math.sqrt(746.0) / root)
+    t = h * np.arange(int(t_max / h) + 2)
+    # (sqrt(2x) sinh(t/2))^2 rather than 2x sinh^2(t/2): the square of the
+    # sinh alone overflows for subnormal x
+    expo = -(root * np.sinh(0.5 * t)) ** 2
+    expo[0] -= LN2  # the half weight of the end node
+    log_cosh = t + np.log1p(np.exp(-2.0 * t)) - LN2
+    lead = math.log(h) - x
+    return lead + logsumexp(expo), lead + logsumexp(expo + log_cosh)
 
 
 def log_bessel_k_sequence(nu_max: int, x: float) -> np.ndarray:
-    """ln K_nu(x) for nu = 0..nu_max.
+    """ln K_nu(x) for nu = 0..nu_max, finite for every finite x > 0.
 
     Upward recurrence in log space: the linear recurrence overflows near
     nu ~ 50 for small arguments while the log form cannot.
@@ -306,23 +248,13 @@ def log_bessel_k_sequence(nu_max: int, x: float) -> np.ndarray:
     if not 0 < x < math.inf:
         raise ValueError(f"log_bessel_k_sequence requires finite x > 0, got x={x}")
     out = np.empty(nu_max + 1)
-    if x <= 2.0:
-        k0, k1 = _k0_k1_small(x)
-        out[0] = math.log(k0)
-        if nu_max >= 1:
-            out[1] = math.log(k1)
-    elif x <= 600.0:
-        out[0] = math.log(_k_cosh_integral(0.0, x))
-        if nu_max >= 1:
-            out[1] = math.log(_k_cosh_integral(1.0, x))
-    else:
-        out[0] = _log_k_asymptotic(0.0, x)
-        if nu_max >= 1:
-            out[1] = _log_k_asymptotic(1.0, x)
+    out[:2] = _log_k0_k1(x)[: nu_max + 1]
+    log_x = math.log(x)
     for v in range(1, nu_max):
-        # K_{v+1} = (2v/x) K_v + K_{v-1}, folded into logs.
-        ratio = out[v - 1] - out[v]
-        out[v + 1] = out[v] + math.log(2.0 * v / x + math.exp(ratio))
+        # K_{v+1} = (2v/x) K_v + K_{v-1} as a log-add-exp of ln(2v/x) and
+        # ln(K_{v-1}/K_v); 2v/x itself overflows for x below v * 1.1e-308
+        a, b = math.log(2.0 * v) - log_x, out[v - 1] - out[v]
+        out[v + 1] = out[v] + max(a, b) + math.log1p(math.exp(-abs(a - b)))
     return out
 
 
@@ -531,7 +463,7 @@ def _log_moment_quadrature(lam: float, b: float) -> float:
     def f(x):
         dens = 0.5 * np.exp(-0.5 * (x + lam))
         if lam > 0:
-            dens = dens * _bessel_i_series(0.0, np.sqrt(lam * x))
+            dens = dens * _bessel_i0_series(np.sqrt(lam * x))
         return np.log(x + b) * dens
 
     return panel_quadrature(f, _dyadic_edges(upper, splits=54), points=32)
@@ -646,7 +578,11 @@ def _phi_eq_log_bracket(i_max: int, b: float) -> list[float]:
             needs_fallback.append(i)
             out.append(math.nan)
         else:
-            out.append(sign * math.exp(x_half + value))
+            try:
+                out.append(sign * math.exp(x_half + value))
+            except OverflowError:
+                raise SeriesOverflowError(
+                    f"Phi({i}, {b}) exceeds double range") from None
     if needs_fallback:
         if b < 1.0:
             raise SeriesOverflowError(
@@ -677,7 +613,16 @@ def _phi_fixed_point(indices: list[int], b: float) -> np.ndarray:
     nodes, weights = _laguerre_rule()
     i = np.asarray(indices)
     # t^i = s^i (t/s)^i with s = max(i, 1) near the peak of t^i exp(-t)
-    # keeps every power inside double range
+    # keeps every power inside double range. (2s)^i itself leaves it from
+    # i = 128, so its binary exponent is applied last, by an exact ldexp;
+    # only a Phi past double range comes out infinite.
     s = np.maximum(i, 1).astype(float)
     powers = (nodes[None, :] / s[:, None]) ** i[:, None]
-    return (2.0 * s) ** i * (powers @ (weights * np.log(2.0 * nodes + b)))
+    mantissa, exponent = np.frexp(2.0 * s)
+    with np.errstate(over="ignore"):
+        phi = np.ldexp(mantissa ** i * (powers @ (weights * np.log(2.0 * nodes + b))),
+                       exponent * i)
+    if not np.all(np.isfinite(phi)):
+        raise SeriesOverflowError(
+            f"Phi({i[~np.isfinite(phi)][0]}, {b}) exceeds double range")
+    return phi

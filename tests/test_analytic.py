@@ -806,6 +806,20 @@ def test_asr_lower_bound_order_refinement():
     assert values[0] < values[1] < values[2]
 
 
+@pytest.mark.parametrize("order", [128, 130, 160])
+def test_asr_lower_bound_deep_orders_are_finite_or_signalled(order):
+    # at R = 128 and 130 the bound was once a silent nan; Phi(150, b)
+    # leaves double range
+    orders = sf.TruncationOrders(R=order)
+    if order >= 150:
+        with pytest.raises(sf.SeriesOverflowError, match=r"Phi\(150, "):
+            an.asr_lower_bound(cfg_at(20), LINKS, orders)
+        return
+    got = an.asr_lower_bound(cfg_at(20), LINKS, orders)
+    assert math.isfinite(got)
+    assert an.asr_lower_bound(cfg_at(20), LINKS, sf.TruncationOrders(R=127)) < got
+
+
 def test_asr_lower_bound_vanishing_source():
     cfg = pr.ProtocolConfig(total_power=100.0, allocation=1e-300)
     assert an.asr_lower_bound(cfg, LINKS) == pytest.approx(0.0, abs=1e-290)

@@ -423,6 +423,20 @@ def test_power_whose_sinrs_overflow_is_a_configuration_error(tmp_path, capsys):
                 "--out", str(tmp_path)]) == 0
 
 
+def test_series_past_double_range_is_a_configuration_error(tmp_path, capsys):
+    # Phi(150, b) leaves double range: once a traceback and exit 1; at
+    # R = 130 the surface once held 575 nan bounds and exited 0
+    assert run(["sweep", "lambda_beta", "--frames", "1024",
+                "--truncation", "25,160,25", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "configuration error: Phi(150, ")
+    assert run(["sweep", "lambda_beta", "--frames", "1024",
+                "--truncation", "25,130,25", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "sweep_lambda_beta.csv").read_text().splitlines()
+    assert len(lines) == 1 + 25 * 25
+    assert all(line.split(",")[2] != "nan" for line in lines[1:])
+
+
 def test_baseline_override_checks_its_geometry(tmp_path):
     # a relay above the source is valid; its ground-relay projection lands
     # on the source itself

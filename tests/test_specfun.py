@@ -95,61 +95,55 @@ def test_lgamma_int_table():
 
 
 def test_bessel_i_trivial_origin():
-    assert sf.bessel_i(0.0, 0.0) == 1.0
-    assert sf.bessel_i(1.0, 0.0) == 0.0
-    # a leading term that underflows gives 0, not a series that never stops
-    assert sf.bessel_i(2.0, 1e-300) == 0.0
+    assert sf.bessel_i(0.0) == 1.0
+    # a half argument that underflows is the origin
+    assert sf.bessel_i(5e-324) == 1.0
 
 
 def test_bessel_i_frozen():
     # brute-force power-series value
-    assert sf.bessel_i(0.0, 2.0) == pytest.approx(2.2795853023360673, rel=1e-13)
+    assert sf.bessel_i(2.0) == pytest.approx(2.2795853023360673, rel=1e-13)
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    nu=st.sampled_from([0.0, 1.0, 2.0, 0.5]),
-    x=st.floats(min_value=1e-12, max_value=500.0),
-)
-def test_bessel_i_matches_reference(nu, x):
-    # below ~1e-150 the scipy reference itself degrades to 0/NaN
+@given(x=st.floats(min_value=1e-12, max_value=500.0))
+def test_bessel_i_matches_reference(x):
     scipy_special = pytest.importorskip("scipy.special")
-    assert sf.bessel_i(nu, x) == pytest.approx(float(scipy_special.iv(nu, x)), rel=1e-11)
+    assert sf.bessel_i(x) == pytest.approx(float(scipy_special.iv(0, x)), rel=1e-11)
 
 
 def test_bessel_i_overflow_signalled():
     with pytest.raises(OverflowError):
-        sf.bessel_i(0.0, 800.0)
+        sf.bessel_i(800.0)
 
 
-def _bessel_i_scalar_loop(nu, x):
+def _bessel_i0_scalar_loop(x):
     # the per-point series the array routine replaced
     half = 0.5 * x
     if half == 0.0:
-        return 1.0 if nu == 0 else 0.0
-    term = math.exp(nu * math.log(half) - math.lgamma(nu + 1.0))
+        return 1.0
+    term = 1.0
     total = term
     q = half * half
     for k in range(1, 20000):
-        term *= q / (k * (nu + k))
+        term *= q / (k * k)
         total += term
         if term < 1e-17 * total and k > half:
             return total
     raise RuntimeError("no convergence")
 
 
-@pytest.mark.parametrize("nu", [0.0, 1.0])
-def test_bessel_i_array_matches_scalar_loop(nu):
+def test_bessel_i_array_matches_scalar_loop():
     # each element runs the loop's operations; the terms it takes past its
     # own stop, while other elements converge, move none of its bits
     xs = np.concatenate(([0.0, 5e-324, 1e-8], np.linspace(0.0, 700.0, 1401)))
-    want = [_bessel_i_scalar_loop(nu, float(x)) for x in xs]
-    assert sf.bessel_i(nu, xs).tolist() == want
-    grid = sf.bessel_i(nu, xs[::-1].reshape(4, 351))
+    want = [_bessel_i0_scalar_loop(float(x)) for x in xs]
+    assert sf.bessel_i(xs).tolist() == want
+    grid = sf.bessel_i(xs[::-1].reshape(4, 351))
     assert grid.tolist() == np.reshape(want[::-1], (4, 351)).tolist()
-    assert [sf.bessel_i(nu, float(x)) for x in xs[::50]] == want[::50]
+    assert [sf.bessel_i(float(x)) for x in xs[::50]] == want[::50]
     with pytest.raises(OverflowError):
-        sf.bessel_i(nu, np.array([1.0, sf._LOG_HUGE * (1.0 + 1e-15)]))
+        sf.bessel_i(np.array([1.0, sf._LOG_HUGE * (1.0 + 1e-15)]))
 
 
 def test_bessel_i_truncated_envelope():
@@ -159,7 +153,7 @@ def test_bessel_i_truncated_envelope():
     prev = None
     for order in [5, 10, 25, 40]:
         worst = max(
-            abs(sf.bessel_i(0.0, float(x), mode="truncated", order=order) - float(scipy_special.iv(0, x)))
+            abs(sf.bessel_i(float(x), mode="truncated", order=order) - float(scipy_special.iv(0, x)))
             / float(scipy_special.iv(0, x))
             for x in xs
         )
@@ -172,18 +166,16 @@ def test_bessel_i_truncated_envelope():
 
 def test_bessel_i_rejects_nan():
     with pytest.raises(ValueError, match="x="):
-        sf.bessel_i(0.0, math.nan)
+        sf.bessel_i(math.nan)
     with pytest.raises(ValueError, match="x="):
-        sf.bessel_i(1.0, np.array([1.0, math.nan]))
-    with pytest.raises(ValueError, match="nu="):
-        sf.bessel_i(math.nan, 1.0)
+        sf.bessel_i(np.array([1.0, math.nan]))
 
 
 def test_bessel_i_truncated_guards():
-    with pytest.raises(ValueError):
-        sf.bessel_i(1.0, 2.0, mode="truncated", order=25)
-    with pytest.raises(ValueError):
-        sf.bessel_i(0.0, 2.0, mode="truncated")
+    with pytest.raises(ValueError, match="needs an order"):
+        sf.bessel_i(2.0, mode="truncated")
+    with pytest.raises(ValueError, match="unknown bessel_i mode"):
+        sf.bessel_i(2.0, mode="series")
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +231,41 @@ def test_bessel_k_domain_and_overflow():
 @pytest.mark.parametrize("x", [599.0, 601.0, 745.0, 1e3, 1e9])
 def test_bessel_k_log_sequence_huge_argument(x):
     # exp(-x) underflows past ~745; the log sequence must stay finite and
-    # match the scaled reference on both sides of the branch switch
+    # match the scaled reference below and above that point
     scipy_special = pytest.importorskip("scipy.special")
     seq = sf.log_bessel_k_sequence(40, x)
     assert np.all(np.isfinite(seq))
     want = np.log(scipy_special.kve(np.arange(41), x)) - x
     np.testing.assert_allclose(seq, want, rtol=1e-13)
+
+
+def _mp_log_k_sequence(nu_max, x):
+    """ln K_nu(x), nu = 0..nu_max: K0 and K1 at 40 digits, then the upward
+    recurrence (stable for K) at the same precision."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        x = mp.mpf(x)
+        k = [mp.besselk(0, x), mp.besselk(1, x)]
+        for v in range(1, nu_max):
+            k.append(2 * v / x * k[v] + k[v - 1])
+        return np.array([float(mp.log(value)) for value in k])
+
+
+# the smallest subnormal and two arguments where ln K1 and ln K2 once were
+# inf, then a log grid up to 1e12 and a finer one around the unit scale
+K_ARGUMENTS = [5e-324, 1e-310, 1e-308,
+               *np.logspace(-300, 12, 53).tolist(),
+               *np.logspace(-3, 3, 25).tolist()]
+
+
+@pytest.mark.parametrize("x", K_ARGUMENTS)
+def test_bessel_k_sequence_finite_and_accurate_over_double_range(x):
+    seq = sf.log_bessel_k_sequence(60, x)
+    assert np.all(np.isfinite(seq))
+    want = _mp_log_k_sequence(60, x)
+    err = np.abs(seq - want) / np.maximum(1.0, np.abs(want))
+    assert np.max(err[:2]) <= 1e-15
+    assert np.max(err) <= 1e-13
 
 
 def test_bessel_k_log_sequence_beyond_reference_range():
@@ -590,6 +611,45 @@ def test_phi_laguerre_route_matches_oracle(b):
         assert value == pytest.approx(float(want), rel=1e-12)
 
 
+def _phi_laguerre_one_power(indices, b):
+    """The Laguerre rule with (2s)^i applied as one power; that power
+    overflows from i = 128."""
+    nodes, weights = sf._laguerre_rule()
+    i = np.asarray(indices)
+    s = np.maximum(i, 1).astype(float)
+    powers = (nodes[None, :] / s[:, None]) ** i[:, None]
+    return (2.0 * s) ** i * (powers @ (weights * np.log(2.0 * nodes + b)))
+
+
+@pytest.mark.parametrize("b", [1.0, 16.0, 840.0, 23000.0])
+def test_phi_laguerre_route_keeps_its_bits_below_index_128(b):
+    indices = list(range(128))
+    assert (sf._phi_fixed_point(indices, b).tolist()
+            == _phi_laguerre_one_power(indices, b).tolist())
+
+
+@pytest.mark.parametrize("b", [1.0, 137.5, 11383.0])
+def test_phi_laguerre_route_past_index_128(b):
+    # the one power once made these nan; Phi itself fits up to i = 149
+    mp = pytest.importorskip("mpmath")
+    indices = [128, 130, 149]
+    got = sf._phi_fixed_point(indices, b)
+    for i, value in zip(indices, got):
+        with mp.workdps(30):
+            want = mp.ldexp(mp.quad(lambda t: t**i * mp.log(2 * t + b) * mp.exp(-t),
+                                    [0, i, 2 * i, mp.inf]), i)
+        assert value == pytest.approx(float(want), rel=1e-12)
+    with pytest.raises(sf.SeriesOverflowError, match=rf"Phi\(150, {b}\)"):
+        sf._phi_fixed_point([3, 150], b)
+
+
+def test_phi_closed_form_overflow_is_signalled():
+    # math.exp once raised a bare OverflowError here
+    assert math.isfinite(sf.phi_log_bracket(149, 0.5))
+    with pytest.raises(sf.SeriesOverflowError, match=r"Phi\(150, 0.5\)"):
+        sf.phi_log_bracket(150, 0.5)
+
+
 @pytest.mark.parametrize("b", [0.3, 1.0, 2.0, 137.5, 840.0])
 def test_phi_closed_form_matches_term_by_term_loop(b):
     # the closed form hoists every i-independent factor out of its i-loop;
@@ -732,6 +792,22 @@ def test_log_moment_rejects_inf():
             sf.log_moment_ncx2(math.inf, 0.0, mode)
         with pytest.raises(ValueError, match="b=inf"):
             sf.log_moment_ncx2(1.0, math.inf, mode)
+
+
+@pytest.mark.parametrize("order", [128, 130, 160])
+@pytest.mark.parametrize("b", [0.0, 0.5, 1000.0])
+def test_log_moment_deep_orders_are_finite_or_signalled(order, b):
+    # from R = 128 the Laguerre fallback once gave a silent nan, and from
+    # R = 150 the closed form raised a bare OverflowError; Phi(i, b) leaves
+    # double range from i = 150
+    if order >= 150 and b > 0.0:
+        with pytest.raises(sf.SeriesOverflowError, match=rf"Phi\(150, {b}\)"):
+            sf.log_moment_ncx2(10.0, b, order=order)
+        return
+    value = sf.log_moment_ncx2(10.0, b, order=order)
+    exact = sf.log_moment_ncx2(10.0, b, mode="quadrature")
+    # measured: rel errors 0.0033-0.0040 at R = 128 and 130
+    assert value == pytest.approx(exact, rel=0.005)
 
 
 def _g1_per_r_weights(lam, order):

@@ -63,10 +63,10 @@ L2_EXACT_LAMBDA_07 = {
     20: 0.08734022360966087,
     30: 0.00786181729535566,
 }
-ASR_VERBATIM_20DBW = {5: 1.2263994717200966, 10: 1.5313455675103234,
-                      25: 1.8725883873019562}
-T1_VERBATIM_20DBW = 3.639830809098596
-T1_CORRECTED_20DBW = -0.553978205434154
+ASR_VERBATIM_20DBW = {5: 1.2263994716819102, 10: 1.531345567469976,
+                      25: 1.8725883872605886}
+T1_VERBATIM_20DBW = 3.6398308090397427
+T1_CORRECTED_20DBW = -0.5539782054528581
 T2_VERBATIM_20DBW = 1.9147675714419434
 T2_CORRECTED_20DBW = 2.9494036715097343
 MEAN_EVE1_20DBW = 0.05779600728320794

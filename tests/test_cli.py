@@ -267,8 +267,8 @@ def test_validate_asr_reports_bound_defect(tmp_path):
     rows = {r["r_order"]: r for r in report["rows"]}
     # The verbatim bound sits far above the simulated rate; the measured
     # values are pinned in the analytic tests, here just their signature.
-    assert rows[5]["analytic"] == pytest.approx(1.2263994717200966, rel=1e-12)
-    assert rows[25]["analytic"] == pytest.approx(1.8725883873019562, rel=1e-12)
+    assert rows[5]["analytic"] == pytest.approx(1.2263994716819102, rel=1e-12)
+    assert rows[25]["analytic"] == pytest.approx(1.8725883872605886, rel=1e-12)
     assert all(r["rel_gap"] < 0 for r in report["rows"])
     assert report["gaps_decreasing"] is True
 

@@ -15,7 +15,6 @@ ALLOWED = {
     "clear_block_cache": "documented test hook that drops the Monte Carlo block cache",
     "squared_rician_pdf": "density factor of the planned exact CP quadrature route",
     "squared_rician_cdf": "conditional factor of the planned conditional Monte Carlo estimators",
-    "phi_log_bracket": "entry point whose quadrature mode is the reference for the closed-form Phi",
 }
 
 

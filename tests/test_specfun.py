@@ -582,9 +582,29 @@ def test_meijer_decays_at_infinity():
 # Phi and the log moment
 
 
+def _phi_quadrature(i, b):
+    """Phi(i, b) = (1/2) integral_0^inf x^i ln(x+b) exp(-x/2) dx by panels."""
+    def f(x):
+        return 0.5 * x**i * np.log(x + b) * np.exp(-0.5 * x)
+
+    # the x^i factor pushes mass far beyond the exponential scale
+    upper = 2.0 * (i + 1) + 24.0 * math.sqrt(i + 1.0) + 80.0
+    return sf.panel_quadrature(f, sf._dyadic_edges(upper, splits=50), points=32)
+
+
+def _phi_oracle(mp, i, b):
+    # Phi(i, b) = 2^i integral_0^inf t^i ln(2t + b) exp(-t) dt; below b = 1
+    # the log turns over at t ~ b, so the panels split there too
+    s = max(i, 1)
+    edges = sorted({0, s, 2 * s + 20} | ({b / 2, 4 * b} if b < 1 else set()))
+    with mp.workdps(20):
+        return mp.ldexp(mp.quad(lambda t: t**i * mp.log(2 * t + b) * mp.exp(-t),
+                                edges + [mp.inf]), i)
+
+
 def test_phi_exponential_case_identity():
     want = math.log(2.0) + math.e * math.exp(sf.log_exp_integral_e1(1.0))
-    assert sf.phi_log_bracket(0, 2.0) == pytest.approx(want, rel=1e-12)
+    assert sf._phi_eq_log_bracket(0, 2.0)[0] == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -592,10 +612,22 @@ def test_phi_exponential_case_identity():
     [(0, 0.1), (2, 1.0), (5, 8.0), (10, 30.0), (25, 137.0), (25, 840.0), (12, 23000.0)],
 )
 def test_phi_closed_vs_quadrature(i, b):
-    # includes the catastrophic-cancellation zone served by the fallback
-    closed = sf.phi_log_bracket(i, b)
-    quad = sf.phi_log_bracket(i, b, mode="quadrature")
-    assert closed == pytest.approx(quad, rel=5e-8)
+    # the routed Phi on both sides of b = 1 against an independent rule
+    routed = sf._phi_eq_log_bracket(i, b)[i]
+    assert routed == pytest.approx(_phi_quadrature(i, b), rel=5e-8)
+
+
+@pytest.mark.parametrize(
+    "b", [1e-6, 1e-3, 0.1, 0.63, 0.79, 0.999, 1.0, 1.26, 16.0, 137.5, 17682.0, 1e6])
+def test_phi_routed_matches_mpmath_oracle(b):
+    # the closed form below b = 1 and the Laguerre rule from b = 1 each held
+    # 2.3e-13 here; the lost-digit monitor they replace let 2e-11 through at
+    # b = 16 and up to 6.2e-9 at b = 17682
+    mp = pytest.importorskip("mpmath")
+    indices = [0, 1, 2, 5, 13, 30, 61, 100, 149]
+    got = sf._phi_eq_log_bracket(149, b)
+    for i in indices:
+        assert got[i] == pytest.approx(float(_phi_oracle(mp, i, b)), rel=3e-13), i
 
 
 @pytest.mark.parametrize("b", [1.0, 16.0, 137.5, 840.0, 11383.0, 23000.0])
@@ -604,11 +636,7 @@ def test_phi_laguerre_route_matches_oracle(b):
     indices = [0, 1, 2, 3, 5, 8, 13, 21, 30, 40]
     got = sf._phi_fixed_point(indices, b)
     for i, value in zip(indices, got):
-        # Phi(i, b) = 2^i integral_0^inf t^i ln(2t + b) exp(-t) dt
-        with mp.workdps(20):
-            want = mp.ldexp(mp.quad(lambda t: t**i * mp.log(2 * t + b) * mp.exp(-t),
-                                    [0, max(i, 1), mp.inf]), i)
-        assert value == pytest.approx(float(want), rel=1e-12)
+        assert value == pytest.approx(float(_phi_oracle(mp, i, b)), rel=1e-12)
 
 
 def _phi_laguerre_one_power(indices, b):
@@ -635,25 +663,22 @@ def test_phi_laguerre_route_past_index_128(b):
     indices = [128, 130, 149]
     got = sf._phi_fixed_point(indices, b)
     for i, value in zip(indices, got):
-        with mp.workdps(30):
-            want = mp.ldexp(mp.quad(lambda t: t**i * mp.log(2 * t + b) * mp.exp(-t),
-                                    [0, i, 2 * i, mp.inf]), i)
-        assert value == pytest.approx(float(want), rel=1e-12)
+        assert value == pytest.approx(float(_phi_oracle(mp, i, b)), rel=1e-12)
     with pytest.raises(sf.SeriesOverflowError, match=rf"Phi\(150, {b}\)"):
         sf._phi_fixed_point([3, 150], b)
 
 
 def test_phi_closed_form_overflow_is_signalled():
     # math.exp once raised a bare OverflowError here
-    assert math.isfinite(sf.phi_log_bracket(149, 0.5))
+    assert math.isfinite(sf._phi_eq_log_bracket(149, 0.5)[149])
     with pytest.raises(sf.SeriesOverflowError, match=r"Phi\(150, 0.5\)"):
-        sf.phi_log_bracket(150, 0.5)
+        sf._phi_eq_log_bracket(150, 0.5)
 
 
-@pytest.mark.parametrize("b", [0.3, 1.0, 2.0, 137.5, 840.0])
+@pytest.mark.parametrize("b", [1e-6, 0.05, 0.3, 0.79, 0.999])
 def test_phi_closed_form_matches_term_by_term_loop(b):
     # the closed form hoists every i-independent factor out of its i-loop;
-    # the arithmetic is unchanged, so each trusted index keeps its bits
+    # the arithmetic is unchanged, so every index keeps its bits
     i_max = 25
     x_half, log_b = 0.5 * b, math.log(b)
     t = sf.lgamma_int(i_max + 2)
@@ -669,50 +694,16 @@ def test_phi_closed_form_matches_term_by_term_loop(b):
             log_g = t[j + 1] + sf.logsumexp(gamma_terms[: j + 1])
             log_mag.append(log_common + log_g)
             signs.append(sign_binom)
-            if log_b == 0.0:
-                log_mag.append(-math.inf)
-                signs.append(0.0)
-            else:
-                log_mag.append(log_common + math.log(abs(log_b))
-                               + sf.log_upper_incomplete_gamma(j + 1, x_half))
-                signs.append(sign_binom * math.copysign(1.0, log_b))
+            log_mag.append(log_common + math.log(abs(log_b))
+                           + sf.log_upper_incomplete_gamma(j + 1, x_half))
+            signs.append(sign_binom * math.copysign(1.0, log_b))
         value, sign = sf.signed_logsumexp(log_mag, signs)
-        if max(log_mag) - value <= sf._PHI_MAX_LOST:
-            assert got[i] == sign * math.exp(x_half + value)
+        assert got[i] == sign * math.exp(x_half + value)
 
 
-def test_phi_rejects_nan():
-    for mode in ("closed", "quadrature"):
-        with pytest.raises(ValueError, match="b="):
-            sf.phi_log_bracket(1, math.nan, mode=mode)
-
-
-def test_phi_rejects_non_finite():
-    # once "NaN log magnitude in signed_logsumexp" and an int(nan) error
-    for mode in ("closed", "quadrature"):
-        with pytest.raises(ValueError, match="b=inf"):
-            sf.phi_log_bracket(1, math.inf, mode=mode)
-        for i in (math.nan, math.inf):
-            with pytest.raises(ValueError, match=f"i={i}"):
-                sf.phi_log_bracket(i, 1.0, mode=mode)
-
-
-def test_phi_closed_form_flags_nothing_below_unit_offset():
-    # an index flagged below b = 1 would raise SeriesOverflowError
-    for b in np.geomspace(1e-6, 1.0, 25, endpoint=False):
-        values = sf._phi_eq_log_bracket(60, float(b))
-        assert all(math.isfinite(v) for v in values)
-
-
-def test_phi_flag_below_unit_offset_raises(monkeypatch):
-    # the quadrature route is off by 1.3e-5 at b = 0.1, so a flagged index
-    # there must not fall back to it silently
-    monkeypatch.setattr(sf, "_PHI_MAX_LOST", -1.0)
-    with pytest.raises(sf.SeriesOverflowError):
-        sf._phi_eq_log_bracket(3, 0.5)
-    # at b >= 1 every flagged index takes the quadrature route
-    panel = [sf.phi_log_bracket(i, 2.0, mode="quadrature") for i in range(4)]
-    assert sf._phi_eq_log_bracket(3, 2.0) == pytest.approx(panel, rel=1e-12)
+@pytest.mark.parametrize("b", [1.0, 16.0, 840.0])
+def test_phi_takes_the_laguerre_rule_from_unit_offset(b):
+    assert sf._phi_eq_log_bracket(40, b) == sf._phi_fixed_point(range(41), b).tolist()
 
 
 def _panel_loop(f, edges, points=32):
@@ -733,7 +724,7 @@ def test_panel_quadrature_matches_per_panel_loop(monkeypatch):
 
     def integrals():
         return ([sf._log_moment_quadrature(lam, b) for lam, b in moments]
-                + [sf.phi_log_bracket(i, b, mode="quadrature") for i, b in brackets])
+                + [_phi_quadrature(i, b) for i, b in brackets])
 
     got = integrals()
     monkeypatch.setattr(sf, "panel_quadrature", _panel_loop)

@@ -444,22 +444,17 @@ def _mean_eve_sinr_proxy(
     """T2: mean-level proxy for the eavesdropper SINR across both phases."""
     beta, eta = cfg.power_split, cfg.harvester_efficiency
     zeta, n0 = cfg.processing_noise_ratio, cfg.noise_power
-    p_a, p_b = cfg.source_power, cfg.jamming_power
+    au, ub, ue = links.au, links.ub, links.ue
     if scale_corrected:
-        l_au, l_ub, l_ue = (links.au.large_scale_gain,
-                            links.ub.large_scale_gain,
-                            links.ue.large_scale_gain)
-        num = eta * beta * (1.0 - beta) * p_a * l_au * l_ue
-        den = (eta * beta * (1.0 - beta) * p_b * l_ub * l_ue
-               + eta * beta * (1.0 - beta + zeta) * l_ue * n0
-               + (1.0 - beta) * n0)
+        g_au, g_ub, g_ue = au.large_scale_gain, ub.large_scale_gain, ue.large_scale_gain
     else:
         # chi-square means 2K + 2 stand in for the gains, losses dropped
-        m_au, m_ub, m_ue = (2.0 * links.au.k_factor + 2.0,
-                            2.0 * links.ub.k_factor + 2.0,
-                            2.0 * links.ue.k_factor + 2.0)
-        num = eta * beta * (1.0 - beta) * p_a * m_au * m_ue
-        den = (eta * beta * (1.0 - beta) * p_b * m_ub * m_ue
-               + eta * beta * (1.0 - beta + zeta) * m_ue * n0
-               + (1.0 - beta) * n0)
+        g_au, g_ub, g_ue = (2.0 * au.k_factor + 2.0, 2.0 * ub.k_factor + 2.0,
+                            2.0 * ue.k_factor + 2.0)
+    # phase 2 of protocol.sinrs at these gains, its terms in the same order
+    shared = eta * beta * (1.0 - beta)
+    num = shared * cfg.source_power * g_au * g_ue
+    den = (shared * cfg.jamming_power * g_ub * g_ue
+           + (1.0 - beta) * n0
+           + eta * beta * (1.0 - beta + zeta) * g_ue * n0)
     return num / den + mean_gamma_eve_phase1(cfg, links)

@@ -63,10 +63,10 @@ L2_EXACT_LAMBDA_07 = {
     20: 0.08734022360966087,
     30: 0.00786181729535566,
 }
-ASR_VERBATIM_20DBW = {5: 1.2263994716819102, 10: 1.531345567469976,
-                      25: 1.8725883872605886}
-T1_VERBATIM_20DBW = 3.6398308090397427
-T1_CORRECTED_20DBW = -0.5539782054528581
+ASR_VERBATIM_20DBW = {5: 1.2263994716823847, 10: 1.5313455674705092,
+                      25: 1.8725883872611475}
+T1_VERBATIM_20DBW = 3.6398308090405376
+T1_CORRECTED_20DBW = -0.553978205451779
 T2_VERBATIM_20DBW = 1.9147675714419434
 T2_CORRECTED_20DBW = 2.9494036715097343
 MEAN_EVE1_20DBW = 0.05779600728320794
@@ -620,7 +620,8 @@ def _f11_per_row(max_r, x):
     out = np.empty(max_r + 1)
     for r in range(max_r + 1):
         k = np.arange(r + 1)
-        body = sf.log_binomial(r, k) + an._xlog(k, x) - lg[k + 1]
+        log_binomial = lg[r + 1] - lg[k + 1] - lg[r - k + 1]  # ln C(r, k)
+        body = log_binomial + an._xlog(k, x) - lg[k + 1]
         out[r] = x + sf.logsumexp(body)
     return out
 
@@ -775,14 +776,32 @@ def test_asr_proxies_frozen():
         T2_CORRECTED_20DBW, rel=1e-12)
 
 
+@pytest.mark.parametrize("scale_corrected", [False, True])
+def test_mean_eve_proxy_is_the_phase2_sinr_at_plugin_gains(monkeypatch,
+                                                          scale_corrected):
+    # T2's phase-2 term is protocol.sinrs at unit-mean gains with the path
+    # losses (scale-corrected) or at gains 2K + 2 with unit losses (verbatim)
+    cfg = cfg_at(20)
+    assert not cfg.include_residual_epsilon
+    monkeypatch.setattr(an, "mean_gamma_eve_phase1", lambda cfg, links: 0.0)
+    if scale_corrected:
+        links, gains = LINKS, (1.0,) * 5
+    else:
+        links = links_with(**{name: (getattr(LINKS, name).k_factor, 1.0)
+                              for name in ("au", "ub", "ue", "ae", "be")})
+        gains = [2.0 * link.k_factor + 2.0 for link in links.ordered()]
+    want = pr.sinrs(cfg, links, *gains, cfg.source_power, cfg.jamming_power)[2]
+    assert an._mean_eve_sinr_proxy(cfg, LINKS, scale_corrected) == want
+
+
 def test_log_moment_cache_runs_each_argument_once(monkeypatch):
     calls = []
-    for name in ("_g1_series", "_g2_series"):
-        def counted(*args, _body=getattr(sf, name)):
-            calls.append(args)
-            return _body(*args)
 
-        monkeypatch.setattr(sf, name, counted)
+    def counted(*args, _body=sf._log_offset_moments):
+        calls.append(args)
+        return _body(*args)
+
+    monkeypatch.setattr(sf, "_log_offset_moments", counted)
     sf.log_moment_ncx2.cache_clear()
     try:
         for lam in np.linspace(0.1, 0.9, 5):
@@ -790,13 +809,15 @@ def test_log_moment_cache_runs_each_argument_once(monkeypatch):
                 an.asr_lower_bound(cfg_at(20, lam=lam, beta=beta), LINKS)
     finally:
         sf.log_moment_ncx2.cache_clear()
-    # one offset per split and none per allocation: 2 central calls, 5 shifted
-    distinct = set(calls)
-    assert len(calls) == len(distinct) == 7
-    for lam, *rest in distinct:
-        b = rest[0] if len(rest) == 2 else 0.0
-        assert sf.log_moment_ncx2(lam, b, "series", 25) == \
-            sf.log_moment_ncx2.__wrapped__(lam, b, "series", 25)
+    # one offset per split and none per allocation: 2 central calls (one
+    # per link, both at b = 0), 5 shifted
+    offsets = [b for _, b in calls]
+    assert len(calls) == 7 and offsets.count(0.0) == 2
+    assert len(set(offsets)) == 6
+    for b in set(offsets):
+        for lam in (2.0 * LINKS.au.k_factor, 2.0 * LINKS.ub.k_factor):
+            assert sf.log_moment_ncx2(lam, b, "series", 25) == \
+                sf.log_moment_ncx2.__wrapped__(lam, b, "series", 25)
 
 
 def test_asr_lower_bound_order_refinement():
@@ -806,16 +827,11 @@ def test_asr_lower_bound_order_refinement():
     assert values[0] < values[1] < values[2]
 
 
-@pytest.mark.parametrize("order", [128, 130, 160])
+@pytest.mark.parametrize("order", [128, 130, 160, 400])
 def test_asr_lower_bound_deep_orders_are_finite_or_signalled(order):
-    # at R = 128 and 130 the bound was once a silent nan; Phi(150, b)
-    # leaves double range
-    orders = sf.TruncationOrders(R=order)
-    if order >= 150:
-        with pytest.raises(sf.SeriesOverflowError, match=r"Phi\(150, "):
-            an.asr_lower_bound(cfg_at(20), LINKS, orders)
-        return
-    got = an.asr_lower_bound(cfg_at(20), LINKS, orders)
+    # at R = 128 and 130 the bound was once a silent nan, and from R = 150
+    # Phi(150, b) left double range and raised
+    got = an.asr_lower_bound(cfg_at(20), LINKS, sf.TruncationOrders(R=order))
     assert math.isfinite(got)
     assert an.asr_lower_bound(cfg_at(20), LINKS, sf.TruncationOrders(R=127)) < got
 

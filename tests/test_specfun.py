@@ -41,30 +41,38 @@ def test_truncation_rejects_nonpositive(bad):
 # log-space primitives
 
 
-def test_signed_logsumexp_identities():
-    v, s = sf.signed_logsumexp([math.log(3.0), math.log(1.0)], [1.0, -1.0])
-    assert s == 1.0
-    assert v == pytest.approx(math.log(2.0), rel=1e-14)
-    v, s = sf.signed_logsumexp([], [])
-    assert v == -math.inf and s == 0.0
-    v, s = sf.signed_logsumexp([0.0, 0.0], [1.0, -1.0])
-    assert v == -math.inf and s == 0.0
+def test_logsumexp_identities():
+    assert sf.logsumexp([math.log(3.0), math.log(1.0)]) == pytest.approx(
+        math.log(4.0), rel=1e-15)
+    assert sf.logsumexp([]) == -math.inf
+    assert sf.logsumexp([-math.inf, -math.inf]) == -math.inf
     with pytest.raises(ValueError):
-        sf.signed_logsumexp([math.nan], [1.0])
+        sf.logsumexp([math.nan])
+
+
+def _signed_logsumexp(log_mag, signs):
+    """The signed reduction logsumexp was folded from, for its unit-sign bits."""
+    log_mag = np.asarray(log_mag, dtype=float)
+    m = float(np.max(log_mag))
+    if m == -math.inf:
+        return (-math.inf, 0.0)
+    total = float(np.sum(np.asarray(signs, dtype=float) * np.exp(log_mag - m)))
+    return (m + math.log(abs(total)), math.copysign(1.0, total))
 
 
 def test_logsumexp_is_the_unit_sign_sum():
+    # x * 1.0 is exact, so the positive-only reduction keeps every bit of
+    # the signed one at unit signs, and the CP and SOP series theirs
     rng = np.random.default_rng(11)
     for size in (1, 2, 7, 26, 41, 129, 1000):
         x = rng.normal(scale=40.0, size=size)
         x[rng.random(size) < 0.1] = -math.inf
-        assert sf.logsumexp(x) == sf.signed_logsumexp(x, np.ones(size))[0]
+        assert sf.logsumexp(x) == _signed_logsumexp(x, np.ones(size))[0]
 
 
-def test_signed_logsumexp_shift_safety():
+def test_logsumexp_shift_safety():
     # magnitudes near the overflow edge must not overflow after shifting
-    v, s = sf.signed_logsumexp([800.0, 799.0], [1.0, 1.0])
-    assert s == 1.0
+    v = sf.logsumexp([800.0, 799.0])
     assert v == pytest.approx(800.0 + math.log1p(math.exp(-1.0)), rel=1e-14)
 
 
@@ -422,54 +430,6 @@ def test_marcum_truncated_deep_order_finite():
 
 
 # ---------------------------------------------------------------------------
-# gamma family
-
-
-def test_digamma_classical_value():
-    assert sf.digamma(1.0) == pytest.approx(-EG, rel=1e-12)
-
-
-@pytest.mark.parametrize("x", [0.1, 0.7, 1.5, 3.0, 7.2, 26.0, 300.0])
-def test_digamma_matches_reference(x):
-    scipy_special = pytest.importorskip("scipy.special")
-    assert sf.digamma(x) == pytest.approx(float(scipy_special.digamma(x)), rel=5e-13, abs=1e-14)
-
-
-def test_upper_incomplete_gamma_integer_identity():
-    # Gamma(3, 1) = 2 e^-1 (1 + 1 + 1/2) = 5/e
-    assert math.exp(sf.log_upper_incomplete_gamma(3, 1.0)) == pytest.approx(5.0 / math.e, rel=1e-13)
-    assert math.exp(sf.log_upper_incomplete_gamma(1, 0.0)) == pytest.approx(1.0, rel=1e-15)
-
-
-def test_upper_incomplete_gamma_log_large_x():
-    mp = pytest.importorskip("mpmath")
-    got = sf.log_upper_incomplete_gamma(26, 420.0)
-    want = float(mp.log(mp.gammainc(26, 420)))
-    assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_upper_incomplete_gamma_domain():
-    with pytest.raises(ValueError):
-        sf.log_upper_incomplete_gamma(0, 1.0)
-    with pytest.raises(ValueError):
-        sf.log_upper_incomplete_gamma(2, -1.0)
-
-
-def test_upper_incomplete_gamma_rejects_nan():
-    with pytest.raises(ValueError, match="x="):
-        sf.log_upper_incomplete_gamma(2, math.nan)
-
-
-def test_upper_incomplete_gamma_rejects_non_finite():
-    # once "NaN log magnitude in signed_logsumexp" and an int(nan) error
-    with pytest.raises(ValueError, match="x=inf"):
-        sf.log_upper_incomplete_gamma(2, math.inf)
-    for a in (math.nan, math.inf):
-        with pytest.raises(ValueError, match=f"a={a}"):
-            sf.log_upper_incomplete_gamma(a, 1.0)
-
-
-# ---------------------------------------------------------------------------
 # exponential integral
 
 
@@ -552,33 +512,6 @@ def test_whittaker_log_form_matches_reference():
 
 
 # ---------------------------------------------------------------------------
-# the log-weighted tail integral behind Phi's closed form:
-# integral_x^inf t^j exp(-t) ln(t/x) dt = j! (E1(x) + sum_{k=1..j} Gamma(k,x)/k!)
-
-
-def log_tail_integral(j, x):
-    parts = [sf.log_exp_integral_e1(x)]
-    parts += [sf.log_upper_incomplete_gamma(k, x) - math.lgamma(k + 1)
-              for k in range(1, j + 1)]
-    return math.lgamma(j + 1) + sf.logsumexp(parts)
-
-
-@pytest.mark.parametrize("j,x", [(0, 1.0), (1, 0.5), (3, 2.0), (10, 7.0), (25, 68.5), (25, 0.05)])
-def test_meijer_closed_vs_quadrature(j, x):
-    def f(s):
-        # t = x + s keeps the log factor analytic at the lower limit
-        return (x + s) ** j * np.exp(-(x + s)) * np.log1p(s / x)
-
-    upper = 60.0 + x + 4.0 * j * (1.0 + math.log1p(j + x))
-    quad = sf.panel_quadrature(f, sf._dyadic_edges(upper, splits=50), points=32)
-    assert math.exp(log_tail_integral(j, x)) == pytest.approx(quad, rel=1e-9)
-
-
-def test_meijer_decays_at_infinity():
-    assert log_tail_integral(2, 400.0) < math.log(1e-150)
-
-
-# ---------------------------------------------------------------------------
 # Phi and the log moment
 
 
@@ -602,9 +535,14 @@ def _phi_oracle(mp, i, b):
                                 edges + [mp.inf]), i)
 
 
+def _phi(i, b):
+    """Phi(i, b) = 2^i i! e_i(b), e_i from the recurrence."""
+    return math.ldexp(math.factorial(i) * sf._log_offset_moments(i, b)[i], i)
+
+
 def test_phi_exponential_case_identity():
     want = math.log(2.0) + math.e * math.exp(sf.log_exp_integral_e1(1.0))
-    assert sf._phi_eq_log_bracket(0, 2.0)[0] == pytest.approx(want, rel=1e-12)
+    assert _phi(0, 2.0) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -612,98 +550,44 @@ def test_phi_exponential_case_identity():
     [(0, 0.1), (2, 1.0), (5, 8.0), (10, 30.0), (25, 137.0), (25, 840.0), (12, 23000.0)],
 )
 def test_phi_closed_vs_quadrature(i, b):
-    # the routed Phi on both sides of b = 1 against an independent rule
-    routed = sf._phi_eq_log_bracket(i, b)[i]
-    assert routed == pytest.approx(_phi_quadrature(i, b), rel=5e-8)
+    # the recurrence on both sides of its anchor against an independent rule
+    assert _phi(i, b) == pytest.approx(_phi_quadrature(i, b), rel=5e-8)
 
 
 @pytest.mark.parametrize(
-    "b", [1e-6, 1e-3, 0.1, 0.63, 0.79, 0.999, 1.0, 1.26, 16.0, 137.5, 17682.0, 1e6])
+    "b", [0.0, 1e-6, 1e-3, 0.1, 0.63, 0.79, 0.999, 1.0, 1.26, 3.0, 16.0, 137.5,
+          300.0, 840.0, 11383.0, 17682.0, 1e6])
 def test_phi_routed_matches_mpmath_oracle(b):
-    # the closed form below b = 1 and the Laguerre rule from b = 1 each held
-    # 2.3e-13 here; the lost-digit monitor they replace let 2e-11 through at
-    # b = 16 and up to 6.2e-9 at b = 17682
+    # e_i = Phi(i, b) / (2^i i!) for i <= 400, past the i = 149 where Phi
+    # leaves double range; measured max 1.9e-15 over these offsets
     mp = pytest.importorskip("mpmath")
-    indices = [0, 1, 2, 5, 13, 30, 61, 100, 149]
-    got = sf._phi_eq_log_bracket(149, b)
+    indices = [0, 1, 2, 5, 13, 30, 100, 149, 150, 400]
+    got = sf._log_offset_moments(400, b)
     for i in indices:
-        assert got[i] == pytest.approx(float(_phi_oracle(mp, i, b)), rel=3e-13), i
+        want = _phi_oracle(mp, i, b) / (mp.factorial(i) * mp.mpf(2) ** i)
+        assert got[i] == pytest.approx(float(want), rel=5e-14), i
 
 
-@pytest.mark.parametrize("b", [1.0, 16.0, 137.5, 840.0, 11383.0, 23000.0])
-def test_phi_laguerre_route_matches_oracle(b):
-    mp = pytest.importorskip("mpmath")
-    indices = [0, 1, 2, 3, 5, 8, 13, 21, 30, 40]
-    got = sf._phi_fixed_point(indices, b)
-    for i, value in zip(indices, got):
-        assert value == pytest.approx(float(_phi_oracle(mp, i, b)), rel=1e-12)
+@pytest.mark.parametrize("b", [5e-324, 1e-320, 1e-300])
+def test_log_offset_moments_meet_the_zero_offset(b):
+    # c = b/2 underflows to 0 at the smallest b, which once raised from
+    # log_exp_integral_e1; E[ln(Y + b)] - E[ln Y] is below b E[1/Y] here
+    zero = sf._log_offset_moments(60, 0.0)
+    assert zero[0] == math.log(2.0) - EG
+    np.testing.assert_allclose(sf._log_offset_moments(60, b), zero, rtol=0, atol=1e-15)
+    for lam in (0.0, 5.0):
+        assert sf.log_moment_ncx2(lam, b) == pytest.approx(
+            sf.log_moment_ncx2(lam, 0.0), rel=0, abs=1e-15)
 
 
-def _phi_laguerre_one_power(indices, b):
-    """The Laguerre rule with (2s)^i applied as one power; that power
-    overflows from i = 128."""
-    nodes, weights = sf._laguerre_rule()
-    i = np.asarray(indices)
-    s = np.maximum(i, 1).astype(float)
-    powers = (nodes[None, :] / s[:, None]) ** i[:, None]
-    return (2.0 * s) ** i * (powers @ (weights * np.log(2.0 * nodes + b)))
-
-
-@pytest.mark.parametrize("b", [1.0, 16.0, 840.0, 23000.0])
-def test_phi_laguerre_route_keeps_its_bits_below_index_128(b):
-    indices = list(range(128))
-    assert (sf._phi_fixed_point(indices, b).tolist()
-            == _phi_laguerre_one_power(indices, b).tolist())
-
-
-@pytest.mark.parametrize("b", [1.0, 137.5, 11383.0])
-def test_phi_laguerre_route_past_index_128(b):
-    # the one power once made these nan; Phi itself fits up to i = 149
-    mp = pytest.importorskip("mpmath")
-    indices = [128, 130, 149]
-    got = sf._phi_fixed_point(indices, b)
-    for i, value in zip(indices, got):
-        assert value == pytest.approx(float(_phi_oracle(mp, i, b)), rel=1e-12)
-    with pytest.raises(sf.SeriesOverflowError, match=rf"Phi\(150, {b}\)"):
-        sf._phi_fixed_point([3, 150], b)
-
-
-def test_phi_closed_form_overflow_is_signalled():
-    # math.exp once raised a bare OverflowError here
-    assert math.isfinite(sf._phi_eq_log_bracket(149, 0.5)[149])
-    with pytest.raises(sf.SeriesOverflowError, match=r"Phi\(150, 0.5\)"):
-        sf._phi_eq_log_bracket(150, 0.5)
-
-
-@pytest.mark.parametrize("b", [1e-6, 0.05, 0.3, 0.79, 0.999])
-def test_phi_closed_form_matches_term_by_term_loop(b):
-    # the closed form hoists every i-independent factor out of its i-loop;
-    # the arithmetic is unchanged, so every index keeps its bits
-    i_max = 25
-    x_half, log_b = 0.5 * b, math.log(b)
-    t = sf.lgamma_int(i_max + 2)
-    gamma_terms = [sf.log_exp_integral_e1(x_half)]
-    for k in range(1, i_max + 2):
-        gamma_terms.append(sf.log_upper_incomplete_gamma(k, x_half) - t[k + 1])
-    got = sf._phi_eq_log_bracket(i_max, b)
-    for i in range(i_max + 1):
-        log_mag, signs = [], []
-        for j in range(i + 1):
-            log_common = sf.log_binomial(i, j) + (i - j) * log_b + j * sf.LN2
-            sign_binom = 1.0 if (i - j) % 2 == 0 else -1.0
-            log_g = t[j + 1] + sf.logsumexp(gamma_terms[: j + 1])
-            log_mag.append(log_common + log_g)
-            signs.append(sign_binom)
-            log_mag.append(log_common + math.log(abs(log_b))
-                           + sf.log_upper_incomplete_gamma(j + 1, x_half))
-            signs.append(sign_binom * math.copysign(1.0, log_b))
-        value, sign = sf.signed_logsumexp(log_mag, signs)
-        assert got[i] == sign * math.exp(x_half + value)
-
-
-@pytest.mark.parametrize("b", [1.0, 16.0, 840.0])
-def test_phi_takes_the_laguerre_rule_from_unit_offset(b):
-    assert sf._phi_eq_log_bracket(40, b) == sf._phi_fixed_point(range(41), b).tolist()
+@pytest.mark.parametrize("c", [1.0, 1.5, 7.3, 40.0, 399.5])
+def test_log_offset_moments_anchor_on_either_side(c):
+    # the anchor index m = floor(c) moves with i_max; every anchor gives
+    # the same e_i, forward or backward from it
+    full = sf._log_offset_moments(400, 2.0 * c)
+    for i_max in (0, 1, int(c) - 1, int(c), int(c) + 1):
+        np.testing.assert_allclose(sf._log_offset_moments(i_max, 2.0 * c),
+                                   full[: i_max + 1], rtol=4e-15)
 
 
 def _panel_loop(f, edges, points=32):
@@ -785,60 +669,30 @@ def test_log_moment_rejects_inf():
             sf.log_moment_ncx2(1.0, math.inf, mode)
 
 
-@pytest.mark.parametrize("order", [128, 130, 160])
+@pytest.mark.parametrize("order", [128, 130, 160, 400])
 @pytest.mark.parametrize("b", [0.0, 0.5, 1000.0])
 def test_log_moment_deep_orders_are_finite_or_signalled(order, b):
-    # from R = 128 the Laguerre fallback once gave a silent nan, and from
-    # R = 150 the closed form raised a bare OverflowError; Phi(i, b) leaves
-    # double range from i = 150
-    if order >= 150 and b > 0.0:
-        with pytest.raises(sf.SeriesOverflowError, match=rf"Phi\(150, {b}\)"):
-            sf.log_moment_ncx2(10.0, b, order=order)
-        return
+    # from R = 128 the Laguerre rule once gave a silent nan, and from R = 150
+    # Phi(i, b) left double range and raised; e_i has no such limit
     value = sf.log_moment_ncx2(10.0, b, order=order)
     exact = sf.log_moment_ncx2(10.0, b, mode="quadrature")
     # measured: rel errors 0.0033-0.0040 at R = 128 and 130
     assert value == pytest.approx(exact, rel=0.005)
 
 
-def _g1_per_r_weights(lam, order):
-    t = sf.lgamma_int(2 * order + 2)
-    r_top = 0 if lam == 0.0 else order
-    log_terms = np.empty(r_top + 1)
-    for r in range(r_top + 1):
-        coeff = sf.digamma(r + 1.0) + sf.LN2
-        lt = (sf.log_series_weight(order, r) - t[r + 1] - r * sf.LN2
-              + math.log(coeff))
-        if r:
-            lt += r * math.log(lam)
-        log_terms[r] = lt
-    value, sign = sf.signed_logsumexp(log_terms, np.ones(r_top + 1))
-    return sign * math.exp(value - 0.5 * lam)
-
-
-def _g2_per_r_weights(lam, b, order):
-    t = sf.lgamma_int(2 * order + 2)
-    r_top = 0 if lam == 0.0 else order
-    phis = sf._phi_eq_log_bracket(r_top, b)
-    log_terms = np.full(r_top + 1, -math.inf)
-    signs = np.zeros(r_top + 1)
-    for r, phi in enumerate(phis):
-        if phi == 0.0:
-            continue
-        lt = (sf.log_series_weight(order, r) - 2.0 * t[r + 1]
-              - r * 2.0 * sf.LN2 + math.log(abs(phi)))
-        if r:
-            lt += r * math.log(lam)
-        log_terms[r] = lt
-        signs[r] = math.copysign(1.0, phi)
-    value, sign = sf.signed_logsumexp(log_terms, signs)
-    return sign * math.exp(value - 0.5 * lam)
+def _series_per_r(lam, b, order):
+    t = sf.lgamma_int(order + 1)
+    e = sf._log_offset_moments(order, b)
+    log_terms = np.empty(order + 1)
+    for r in range(order + 1):
+        log_terms[r] = (sf.log_series_weight(order, r) - t[r + 1] - r * sf.LN2
+                        + np.log(e[r]) + r * math.log(lam))
+    return math.exp(sf.logsumexp(log_terms) - 0.5 * lam)
 
 
 def test_log_moment_series_keep_the_per_r_weight_bits():
     for order in (1, 5, 25, 40, 60):
-        for lam in (0.0, 0.3, 5.0, 20.0, 60.0):
-            assert sf._g1_series(lam, order) == _g1_per_r_weights(lam, order)
-            for b in (1e-3, 0.1, 1.0, 10.0, 300.0):
-                assert (sf._g2_series(lam, b, order)
-                        == _g2_per_r_weights(lam, b, order))
+        for lam in (0.3, 5.0, 20.0, 60.0):
+            for b in (0.0, 1e-3, 0.1, 1.0, 10.0, 300.0):
+                assert (sf.log_moment_ncx2.__wrapped__(lam, b, "series", order)
+                        == _series_per_r(lam, b, order))

@@ -451,10 +451,11 @@ def _mean_eve_sinr_proxy(
         # chi-square means 2K + 2 stand in for the gains, losses dropped
         g_au, g_ub, g_ue = (2.0 * au.k_factor + 2.0, 2.0 * ub.k_factor + 2.0,
                             2.0 * ue.k_factor + 2.0)
-    # phase 2 of protocol.sinrs at these gains, its terms in the same order
+    # phase 2 of protocol.sinrs at these gains, its terms and products in
+    # the same order
     shared = eta * beta * (1.0 - beta)
     num = shared * cfg.source_power * g_au * g_ue
     den = (shared * cfg.jamming_power * g_ub * g_ue
            + (1.0 - beta) * n0
-           + eta * beta * (1.0 - beta + zeta) * g_ue * n0)
+           + eta * beta * (1.0 - beta + zeta) * n0 * g_ue)
     return num / den + mean_gamma_eve_phase1(cfg, links)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _kernels
 from .channel_models import LinkSet, amplitude_params
-from .protocol import FrameRealization, ProtocolConfig, capacity, require_noise
+from .protocol import FrameRealization, ProtocolConfig, require_noise, secrecy_rate
 
 BLOCK_FRAMES = 8192
 
@@ -259,7 +259,7 @@ def estimate_asr(cfg: ProtocolConfig, links: LinkSet, plan: SimulationPlan) -> E
     def per_block(gains):
         gamma_m, gamma_1, gamma_2 = _kernels.frame_metrics(gains, cfg, links)
         gamma_e = np.maximum(gamma_1, gamma_2)
-        rate = np.maximum(capacity(gamma_m) - capacity(gamma_e), 0.0)
+        rate = secrecy_rate(gamma_m, gamma_e)
         return (float(np.sum(rate)), float(np.dot(rate, rate)),
                 _nonfinite(gamma_m + gamma_e))
 

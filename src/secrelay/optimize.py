@@ -211,13 +211,12 @@ def brute_force_lambda(cfg: pr.ProtocolConfig, frame: pr.FrameRealization,
 
 
 def _rate_from_constants(allocation, consts: SinrConstants):
-    gamma_m = allocation * consts.c1
+    jamming = 1.0 - allocation
     gamma_e = np.maximum(
-        allocation * consts.c2 / ((1.0 - allocation) * consts.c3 + 1.0),
-        allocation * consts.c4 / ((1.0 - allocation) * consts.c5 + 1.0),
+        allocation * consts.c2 / (jamming * consts.c3 + 1.0),
+        allocation * consts.c4 / (jamming * consts.c5 + 1.0),
     )
-    return np.maximum(0.5 * (np.log1p(gamma_m) - np.log1p(gamma_e))
-                      / math.log(2.0), 0.0)
+    return pr.secrecy_rate(allocation * consts.c1, gamma_e)
 
 
 def _critical_points(consts: SinrConstants) -> list:
@@ -266,11 +265,10 @@ def _grid_argmax(consts: SinrConstants) -> np.ndarray:
     ends[1] = _FALLBACK_LAST
     index = np.clip(np.concatenate([ends, below, below + 1.0]),
                     0, _FALLBACK_LAST).astype(np.intp)
-    # ascending, so argmax breaks ties to the lowest allocation
-    index.sort(axis=0)
     candidates = _FALLBACK_STEP * index + _FALLBACK_STEP
-    best = np.argmax(_rate_from_constants(candidates, consts), axis=0)
-    return candidates[best, np.arange(best.size)]
+    rate = _rate_from_constants(candidates, consts)
+    # the lowest candidate among those at the best rate
+    return np.where(rate == rate.max(axis=0), candidates, 1.0).min(axis=0)
 
 
 def _policy_allocations(consts: SinrConstants) -> np.ndarray:
@@ -279,10 +277,10 @@ def _policy_allocations(consts: SinrConstants) -> np.ndarray:
     on the grid 0.01, 0.02, ..., 0.99 (_grid_argmax)."""
     nu = np.asarray(consts.nu)
     allocation = 1.0 / (1.0 + np.sqrt(nu))
-    low = nu < 1.0
-    if np.any(low):
+    low = np.flatnonzero(nu < 1.0)
+    if low.size:
         allocation[low] = _grid_argmax(
-            SinrConstants(*(np.asarray(c)[low] for c in consts)))
+            SinrConstants(*(np.take(c, low) for c in consts)))
     return allocation
 
 
@@ -301,8 +299,7 @@ def estimate_asr_allocation_policy(cfg: pr.ProtocolConfig, links: cm.LinkSet,
 
     def rates(frame):
         allocation = _policy_allocations(sinr_constants(cfg, frame, links))
-        gamma_m, gamma_e = _sinrs_at(allocation, cfg, frame, links)
-        return np.maximum(pr.capacity(gamma_m) - pr.capacity(gamma_e), 0.0)
+        return pr.secrecy_rate(*_sinrs_at(allocation, cfg, frame, links))
 
     return mc.estimate_functional(cfg, links, plan, rates)
 

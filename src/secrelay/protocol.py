@@ -22,7 +22,7 @@ import numpy as np
 
 from .channel_models import LinkSet
 
-_LN2 = math.log(2.0)
+_HALF_PER_LN2 = 0.5 / math.log(2.0)
 
 _GAIN_FIELDS = ("s_au", "s_ub", "s_ue", "s_ae", "s_be")
 
@@ -155,15 +155,17 @@ def sinrs(cfg: ProtocolConfig, links: LinkSet, s_au, s_ub, s_ue, s_ae, s_be,
         return 0.0 * (s_au * arrived_ub), gamma_eve1, 0.0 * (s_au * arrived_ue)
     eta = cfg.harvester_efficiency
     shared = eta * beta * (1.0 - beta)
-    relayed = shared * source_power * s_au * links.au.large_scale_gain
-    noise_gain = eta * beta * (1.0 - beta + cfg.processing_noise_ratio)
+    # scalar factors are multiplied together before they meet an array, so
+    # each product costs one pass over the frames
+    relayed = (shared * source_power * links.au.large_scale_gain) * s_au
+    forwarded_noise = eta * beta * (1.0 - beta + cfg.processing_noise_ratio) * n0
     floor = (1.0 - beta) * n0
-    den_main = noise_gain * arrived_ub * n0 + floor
+    den_main = forwarded_noise * arrived_ub + floor
     # the eavesdropper also hears the destination's jamming, forwarded
     den_eve2 = (
-        shared * jamming_power * s_ub * links.ub.large_scale_gain * arrived_ue
+        shared * jamming_power * arrived_ub * arrived_ue
         + floor
-        + noise_gain * arrived_ue * n0
+        + forwarded_noise * arrived_ue
     )
     if cfg.include_residual_epsilon:
         # Self-noise floor left after substituting the relay gain. It vanishes
@@ -177,7 +179,15 @@ def sinrs(cfg: ProtocolConfig, links: LinkSet, s_au, s_ub, s_ue, s_ae, s_be,
     return relayed * arrived_ub / den_main, gamma_eve1, relayed * arrived_ue / den_eve2
 
 
-def capacity(gamma):
-    """Capacity 0.5 * log2(1 + gamma) in bits/s/Hz; the 1/2 is the two phases."""
-    return 0.5 * np.log1p(gamma) / _LN2
+def secrecy_rate(gamma_main, gamma_eve):
+    """Clamped secrecy rate max(C(gamma_main) - C(gamma_eve), 0) in bits/s/Hz.
 
+    C(gamma) = 0.5 * log2(1 + gamma), the 1/2 being the two phases. This is
+    the one place the rate is written. The clamp comes before the scaling,
+    so a frame the eavesdropper wins is exactly 0. A NaN SINR or an infinite
+    main SINR gives a non-finite rate; an infinite eavesdropper SINR against
+    a finite main one clamps to 0.
+    """
+    rate = np.maximum(np.log1p(gamma_main) - np.log1p(gamma_eve), 0.0)
+    rate *= _HALF_PER_LN2
+    return rate

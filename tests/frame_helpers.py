@@ -1,4 +1,9 @@
-"""Shared test helpers: pinned frame draws and the SINRs of a frame."""
+"""Shared test helpers: pinned frame draws, the SINRs of a frame and the
+Shannon capacity the secrecy rate is built from."""
+
+import math
+
+import numpy as np
 
 from secrelay import channel_models as cm
 from secrelay import protocol as pr
@@ -22,3 +27,8 @@ def draw_frames(links, stream, size):
 def frame_sinrs(cfg, frame, links):
     """(gamma_main, gamma_eve1, gamma_eve2) of a frame at cfg's powers."""
     return pr.sinrs(cfg, links, *frame.gains(), cfg.source_power, cfg.jamming_power)
+
+
+def capacity(gamma):
+    """Capacity 0.5 * log2(1 + gamma) in bits/s/Hz; the 1/2 is the two phases."""
+    return 0.5 * np.log1p(gamma) / math.log(2.0)

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from frame_helpers import draw_frames, frame_sinrs
+from frame_helpers import capacity, draw_frames, frame_sinrs
 from hypothesis import assume, given, settings, strategies as st
 
 from secrelay import channel_models as cm
@@ -415,6 +415,34 @@ def test_fallback_zero_rate_everywhere_picks_first_allocation():
     np.testing.assert_array_equal(opt._policy_allocations(consts), [0.01, 0.01])
 
 
+def test_grid_argmax_all_clamped_picks_first_allocation():
+    # every candidate rate clamps to exactly 0: all tie, the lowest wins
+    consts = constants([1e-3, 1e-9, 1e-6], [1.0, 1.0, 50.0], [10.0, 10.0, 1.0],
+                       [1e-3, 1e-3, 1e-3], [10.0, 10.0, 1.0])
+    assert np.all(np.stack([opt._rate_from_constants(g, consts)
+                            for g in FULL_GRID]) == 0.0)
+    np.testing.assert_array_equal(opt._grid_argmax(consts), [0.01] * 3)
+
+
+def test_grid_argmax_two_way_tie_picks_lower_allocation(monkeypatch):
+    # the tie rule on its own: a rate that peaks, exactly equal, at the top
+    # end 0.99 (always a candidate) and at the largest candidate below it,
+    # which comes after 0.99 in the candidate rows
+    seconds = []
+
+    def two_top(candidates, consts):
+        second = np.where(candidates < 0.99, candidates, 0.0).max(axis=0)
+        seconds.append(second)
+        return ((candidates == 0.99) | (candidates == second)).astype(float)
+
+    c1 = np.logspace(-2, 4, 61)
+    consts = constants(c1, *np.broadcast_arrays(0.5, 2.0, 0.05, 0.3, c1)[:4])
+    monkeypatch.setattr(opt, "_rate_from_constants", two_top)
+    got = opt._grid_argmax(consts)
+    assert np.any(seconds[0] > 0.01)
+    np.testing.assert_array_equal(got, seconds[0])
+
+
 def replayed_policy_mean(cfg, plan):
     """Replay the policy on the plan's single block, frame by frame.
 
@@ -442,7 +470,7 @@ def replayed_policy_mean(cfg, plan):
             lam = float(fallback_grid[int(np.argmax(cand))])
         frame = pr.FrameRealization(*(float(g[i]) for g in frames.gains()))
         gm, g1, g2 = frame_sinrs(replace(cfg, allocation=lam), frame, LINKS)
-        rates[i] = np.maximum(pr.capacity(gm) - pr.capacity(np.maximum(g1, g2)), 0.0)
+        rates[i] = np.maximum(capacity(gm) - capacity(np.maximum(g1, g2)), 0.0)
     return float(rates.mean())
 
 

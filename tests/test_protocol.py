@@ -8,11 +8,12 @@ closed forms must equal that composition when the processing-noise ratio is
 zero.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from frame_helpers import draw_frames, frame_sinrs
+from frame_helpers import capacity, draw_frames, frame_sinrs
 
 from secrelay import channel_models as cm
 from secrelay import geometry as geo
@@ -339,16 +340,30 @@ def test_phase_sinrs_use_disjoint_gain_coordinates():
 # secrecy quantities
 
 
+def assert_rate_matches_capacity_gap(gm, ge):
+    """secrecy_rate against max(C(gm) - C(ge), 0) from the test capacity.
+
+    The reference subtracts two rounded capacities, so near a tie it can be
+    off by a few ulps of C(gm) relative to the gap; the bound is 1e-15 of
+    C(gm), plus one subnormal step where 0.5 * gamma underflows.
+    """
+    rate = pr.secrecy_rate(gm, ge)
+    want = np.maximum(capacity(gm) - capacity(ge), 0.0)
+    assert np.all(np.abs(rate - want) <= 1e-15 * capacity(gm) + 5e-324)
+    # exactly 0, not a rounding residue, wherever the eavesdropper wins
+    assert np.all(rate[gm <= ge] == 0.0)
+    assert np.all(rate[gm > ge] > 0.0)
+    return rate
+
+
 def test_secrecy_quantities_identities():
     cfg = pr.ProtocolConfig(total_power=100.0)
     gm, g1, g2 = frame_sinrs(cfg, random_frames(5_000, 29), LINKS)
     ge = np.maximum(g1, g2)
-    c_main, c_eve = pr.capacity(gm), pr.capacity(ge)
-    np.testing.assert_allclose(c_main, 0.5 * np.log2(1.0 + gm), rtol=1e-12)
-    np.testing.assert_allclose(c_eve, 0.5 * np.log2(1.0 + ge), rtol=1e-12)
-    rate = np.maximum(c_main - c_eve, 0.0)
-    assert np.all(rate <= c_main)
-    assert np.all(rate[ge >= gm] == 0.0)
+    assert 0 < np.count_nonzero(gm > ge) < gm.size
+    rate = assert_rate_matches_capacity_gap(gm, ge)
+    assert np.all(rate <= 0.5 * np.log2(1.0 + gm))
+    assert_rate_matches_capacity_gap(gm, gm)
 
 
 def test_secrecy_rate_clamps_when_eavesdropper_wins():
@@ -362,7 +377,8 @@ def test_secrecy_rate_clamps_when_eavesdropper_wins():
     cfg = pr.ProtocolConfig(total_power=100.0)
     gm, g1, g2 = frame_sinrs(cfg, ONES, strong_eve)
     # the wiretap capacity wins, so the clamped rate of estimate_asr is 0
-    assert pr.capacity(max(g1, g2)) > pr.capacity(gm)
+    assert capacity(max(g1, g2)) > capacity(gm)
+    assert pr.secrecy_rate(gm, max(g1, g2)) == 0.0
 
 
 def test_secrecy_rate_approaches_main_capacity_without_leaks():
@@ -374,5 +390,30 @@ def test_secrecy_rate_approaches_main_capacity_without_leaks():
     )
     cfg = pr.ProtocolConfig(total_power=100.0)
     gm, g1, g2 = frame_sinrs(cfg, ONES, deaf_eve)
-    c_main = pr.capacity(gm)
-    assert max(c_main - pr.capacity(max(g1, g2)), 0.0) == pytest.approx(c_main, rel=1e-12)
+    c_main = capacity(gm)
+    assert pr.secrecy_rate(gm, max(g1, g2)) == pytest.approx(c_main, rel=1e-12)
+
+
+def test_secrecy_rate_is_finite_across_double_range():
+    values = (0.0, 5e-324, 1e-300, 1e300, 1.7e308)
+    gm, ge = (np.array(v) for v in zip(*itertools.product(values, repeat=2)))
+    assert np.all(np.isfinite(assert_rate_matches_capacity_gap(gm, ge)))
+
+
+@pytest.mark.parametrize("gm, ge", [
+    (np.inf, 1.0), (np.nan, 1.0), (1.0, np.nan), (np.inf, np.inf),
+])
+def test_secrecy_rate_keeps_non_finite_sinrs_visible(gm, ge):
+    # the estimators count such frames as non-finite; a finite rate here
+    # would hide them from estimate_functional; inf - inf warns, as the
+    # estimators' callers see at overflowing powers
+    with np.errstate(invalid="ignore"):
+        rate = pr.secrecy_rate(np.array([gm, 1.0]), np.array([ge, 0.5]))
+    assert not np.isfinite(rate[0])
+    assert np.isfinite(rate[1])
+
+
+def test_secrecy_rate_clamps_an_infinite_eavesdropper_sinr():
+    # the one non-finite input that gives a finite rate; estimate_asr counts
+    # such frames through the SINRs instead
+    assert pr.secrecy_rate(np.array([1.0]), np.array([np.inf])).tolist() == [0.0]

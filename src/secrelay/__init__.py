@@ -22,16 +22,8 @@ from .montecarlo import (
     estimate_cp,
     estimate_sop,
 )
-from .optimize import (
-    LambdaStarResult,
-    SweepGrid,
-    brute_force_lambda,
-    grid_search_opsa,
-    lambda_star,
-    phi_lambda,
-    placement_sweep,
-)
-from .protocol import FrameRealization, ProtocolConfig
+from .optimize import SweepGrid, grid_search_opsa, placement_sweep
+from .protocol import ProtocolConfig
 from .specfun import TruncationOrders
 
 __version__ = "0.1.0"
@@ -40,8 +32,6 @@ __all__ = [
     "Environment",
     "Estimate",
     "ExperimentConfig",
-    "FrameRealization",
-    "LambdaStarResult",
     "LinkModel",
     "LinkSet",
     "NetworkGeometry",
@@ -51,16 +41,13 @@ __all__ = [
     "SweepGrid",
     "TruncationOrders",
     "asr_lower_bound",
-    "brute_force_lambda",
     "build_links",
     "connection_probability",
     "estimate_asr",
     "estimate_cp",
     "estimate_sop",
     "grid_search_opsa",
-    "lambda_star",
     "load_config",
-    "phi_lambda",
     "placement_sweep",
     "secrecy_outage_probability",
     "__version__",

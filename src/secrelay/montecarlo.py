@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _kernels
 from .channel_models import LinkSet, amplitude_params
-from .protocol import FrameRealization, ProtocolConfig, require_noise, secrecy_rate
+from .protocol import ProtocolConfig, require_noise, secrecy_rate
 
 BLOCK_FRAMES = 8192
 
@@ -252,6 +252,13 @@ def estimate_sop(cfg: ProtocolConfig, links: LinkSet, plan: SimulationPlan) -> E
     return _binomial_estimate(plan, _collect(plan, links, per_block))
 
 
+def _nonfinite_sinrs(gains, cfg: ProtocolConfig, links: LinkSet) -> int:
+    """Frames whose main or eavesdropper SINR at cfg's powers is not finite,
+    counted as estimate_asr counts them."""
+    gamma_m, gamma_1, gamma_2 = _kernels.frame_metrics(gains, cfg, links)
+    return _nonfinite(gamma_m + np.maximum(gamma_1, gamma_2))
+
+
 def estimate_asr(cfg: ProtocolConfig, links: LinkSet, plan: SimulationPlan) -> Estimate:
     """Average secrecy rate: mean clamped capacity gap in bits/s/Hz."""
     require_noise(cfg)
@@ -272,25 +279,33 @@ def estimate_functional(
     cfg: ProtocolConfig, links: LinkSet, plan: SimulationPlan, functional
 ) -> Estimate:
     """Mean of an arbitrary frame functional over the same gain stream the
-    metric estimators consume. The functional receives a FrameRealization
-    whose fields are read-only length-n arrays and must return n real
-    values."""
+    metric estimators consume.
+
+    The functional receives the five read-only length-n gain arrays in
+    (au, ub, ue, ae, be) order, as one tuple, and must return n real values.
+    Frames whose SINRs at cfg's powers leave double range are refused as
+    estimate_asr refuses them, whatever the functional does with the gains.
+    """
     require_noise(cfg)
 
     def per_block(gains):
+        bad_sinr = _nonfinite_sinrs(gains, cfg, links)
+        if bad_sinr:
+            return 0.0, 0.0, 0, bad_sinr
         length = len(gains[0])
-        frame = FrameRealization(*gains)
-        values = np.asarray(functional(frame), dtype=float)
+        values = np.asarray(functional(gains), dtype=float)
         if values.shape != (length,):
             raise ValueError(
                 f"functional returned shape {values.shape}, expected ({length},)"
             )
         bad = int(np.count_nonzero(~np.isfinite(values)))
         if bad:
-            return 0.0, 0.0, bad
-        return float(np.sum(values)), float(np.dot(values, values)), 0
+            return 0.0, 0.0, bad, 0
+        return float(np.sum(values)), float(np.dot(values, values)), 0, 0
 
-    total, total_sq, bad = _moment_sums(_collect(plan, links, per_block))
+    results = _collect(plan, links, per_block)
+    _require_finite(plan, sum(r[3] for r in results))
+    total, total_sq, bad = _moment_sums(r[:3] for r in results)
     if bad:
         raise ValueError(
             f"functional produced {bad} non-finite values over {plan.frames} frames"

@@ -1,13 +1,13 @@
 """Power allocation and relay placement tuning.
 
 Two optimization layers live here. The per-frame layer works on one channel
-realization: the objective is the SINR gap ratio
-phi(allocation) = (gamma_main - gamma_eve) / (1 + gamma_eve), whose sign
-matches the instantaneous secrecy rate, and the closed form
-lambda* = 1 / (1 + sqrt(nu)) predicts its maximizer from the gain ratios.
-The ergodic layer searches Monte Carlo estimates over parameter grids:
-a joint (allocation, split) search and relay placement sweeps along the
-source-destination line or the vertical axis.
+realization: SinrConstants carry the exact allocation dependence of a
+frame's SINRs, and the closed form lambda* = 1 / (1 + sqrt(nu)) predicts
+the allocation that maximizes its SINR gap ratio
+(gamma_main - gamma_eve) / (1 + gamma_eve), whose sign matches the
+instantaneous secrecy rate. The ergodic layer searches Monte Carlo estimates
+over parameter grids: a joint (allocation, split) search and relay placement
+sweeps along the source-destination line or the vertical axis.
 
 The per-frame allocation policy applies lambda* where nu >= 1 and
 otherwise the best allocation on the grid 0.01, 0.02, ..., 0.99, located
@@ -16,8 +16,8 @@ points are evaluated.
 
 The closed form is derived for high transmit SNR with the eavesdropper
 ratios summed rather than maximized; where those premises fail the grid
-argmax of the exact phi can sit far from lambda*. brute_force_lambda exists
-so callers can always measure the difference.
+argmax of the exact gap ratio can sit far from lambda*. The tests measure
+that difference against a brute-force grid.
 
 All Monte Carlo searches reuse one simulation plan across grid cells
 (common random numbers), so surfaces are smooth in the parameters and
@@ -36,10 +36,6 @@ from . import channel_models as cm
 from . import geometry as geo
 from . import montecarlo as mc
 from . import protocol as pr
-
-CASE_NO_OPTIMUM = "no_optimum"
-CASE_HALF = "half"
-CASE_INTERIOR = "interior"
 
 # The nu < 1 fallback picks the best of the allocations 0.01, 0.02, ..., 0.99:
 # allocation k = 0 ... _FALLBACK_LAST is _FALLBACK_STEP * k + _FALLBACK_STEP,
@@ -69,14 +65,15 @@ class SinrConstants(NamedTuple):
         return self.c2 / self.c3 + self.c4 / self.c5
 
 
-def sinr_constants(cfg: pr.ProtocolConfig, frame: pr.FrameRealization,
-                   links: cm.LinkSet) -> SinrConstants:
-    """Reparametrize one frame's SINRs as rational functions of allocation."""
-    x = frame.s_au * links.au.large_scale_gain
-    y = frame.s_ub * links.ub.large_scale_gain
-    z = frame.s_ue * links.ue.large_scale_gain
-    v = frame.s_ae * links.ae.large_scale_gain
-    w = frame.s_be * links.be.large_scale_gain
+def sinr_constants(cfg: pr.ProtocolConfig, links: cm.LinkSet,
+                   s_au, s_ub, s_ue, s_ae, s_be) -> SinrConstants:
+    """Reparametrize the SINRs of frames with the given gains as rational
+    functions of the allocation."""
+    x = s_au * links.au.large_scale_gain
+    y = s_ub * links.ub.large_scale_gain
+    z = s_ue * links.ue.large_scale_gain
+    v = s_ae * links.ae.large_scale_gain
+    w = s_be * links.be.large_scale_gain
     p, n0 = cfg.total_power, cfg.noise_power
     eta, beta = cfg.harvester_efficiency, cfg.power_split
     shared = eta * beta * (1.0 - beta)
@@ -91,119 +88,6 @@ def sinr_constants(cfg: pr.ProtocolConfig, frame: pr.FrameRealization,
         c4=shared * p * x * z / den_eve2,
         c5=shared * p * y * z / den_eve2,
     )
-
-
-@dataclass(frozen=True)
-class LambdaStarResult:
-    """Closed-form allocation for one frame.
-
-    nu is the gain-ratio sum; case is one of the three analytic branches.
-    lambda_star is None exactly when the branch reports no interior optimum.
-    """
-
-    nu: float
-    lambda_star: float | None
-    case: str
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.nu) and self.nu > 0):
-            raise ValueError(f"nu must be positive and finite, got {self.nu}")
-        if self.case == CASE_NO_OPTIMUM:
-            ok = self.nu < 1.0 and self.lambda_star is None
-        elif self.case == CASE_HALF:
-            ok = self.nu == 1.0 and self.lambda_star == 0.5
-        elif self.case == CASE_INTERIOR:
-            ok = (self.nu > 1.0 and self.lambda_star is not None
-                  and abs(self.lambda_star - 1.0 / (1.0 + math.sqrt(self.nu)))
-                  <= 1e-12 and 0.0 < self.lambda_star < 0.5)
-        else:
-            raise ValueError(f"unknown case {self.case!r}")
-        if not ok:
-            raise ValueError(
-                f"inconsistent result: case={self.case!r}, nu={self.nu}, "
-                f"lambda_star={self.lambda_star}"
-            )
-
-
-def lambda_star(frame: pr.FrameRealization,
-                links: cm.LinkSet | None = None) -> LambdaStarResult:
-    """Closed-form allocation from one frame's gain ratios.
-
-    Without links, nu is the raw ratio sum s_ae/s_be + s_au/s_ub. Passing
-    links folds the large-scale gains in; only then does nu describe the
-    SINRs an actual link budget produces (the ratios are otherwise off by
-    the loss quotients, which at realistic geometries are orders of
-    magnitude), so comparisons against the exact phi need the scaled form.
-    """
-    for name in ("s_au", "s_ub", "s_ue", "s_ae", "s_be"):
-        if np.ndim(getattr(frame, name)) != 0:
-            raise TypeError("lambda_star consumes a single frame, not a batch")
-    eve_ratio = frame.s_ae / frame.s_be
-    main_ratio = frame.s_au / frame.s_ub
-    if links is not None:
-        eve_ratio *= links.ae.large_scale_gain / links.be.large_scale_gain
-        main_ratio *= links.au.large_scale_gain / links.ub.large_scale_gain
-    nu = eve_ratio + main_ratio
-    if nu < 1.0:
-        return LambdaStarResult(nu=nu, lambda_star=None, case=CASE_NO_OPTIMUM)
-    if nu == 1.0:
-        return LambdaStarResult(nu=nu, lambda_star=0.5, case=CASE_HALF)
-    return LambdaStarResult(nu=nu, lambda_star=1.0 / (1.0 + math.sqrt(nu)),
-                            case=CASE_INTERIOR)
-
-
-def _sinrs_at(allocation, cfg: pr.ProtocolConfig, frame: pr.FrameRealization,
-              links: cm.LinkSet):
-    """Main and eavesdropper SINRs at an allocation, scalar or one per frame."""
-    p = cfg.total_power
-    gamma_m, gamma_1, gamma_2 = pr.sinrs(
-        cfg, links, *frame.gains(), allocation * p, (1.0 - allocation) * p)
-    return gamma_m, np.maximum(gamma_1, gamma_2)
-
-
-def phi_lambda(allocation, cfg: pr.ProtocolConfig, frame: pr.FrameRealization,
-               links: cm.LinkSet, mode: str = "exact"):
-    """SINR gap ratio of one frame (or batch) at the given allocation.
-
-    Exact mode rebuilds the protocol SINRs at the requested allocation.
-    Approximate mode evaluates the high-SNR rational form
-    c1*a*(1-a) / (1 + (nu-1)*a), which keeps the maximizer at
-    1/(1 + sqrt(nu)) for every nu > 0.
-    """
-    if not 0.0 < allocation < 1.0:
-        raise ValueError(f"allocation must lie in (0, 1), got {allocation}")
-    if mode == "exact":
-        gamma_m, gamma_e = _sinrs_at(allocation, cfg, frame, links)
-        return (gamma_m - gamma_e) / (1.0 + gamma_e)
-    if mode == "approximate":
-        consts = sinr_constants(cfg, frame, links)
-        nu = consts.nu
-        return consts.c1 * allocation * (1.0 - allocation) \
-            / (1.0 + (nu - 1.0) * allocation)
-    raise ValueError(f"mode must be 'exact' or 'approximate', got {mode!r}")
-
-
-def brute_force_lambda(cfg: pr.ProtocolConfig, frame: pr.FrameRealization,
-                       links: cm.LinkSet, grid_step: float = 1e-3):
-    """Grid argmax of the exact phi; the measuring stick for lambda_star.
-
-    Works on a frame batch, returning one argmax per frame. The grid covers
-    (0, 1) exclusive in steps of grid_step.
-    """
-    if not 0.0 < grid_step <= 1e-3:
-        raise ValueError(f"grid_step must lie in (0, 1e-3], got {grid_step}")
-    shape = np.broadcast(*(getattr(frame, f) for f in
-                           ("s_au", "s_ub", "s_ue", "s_ae", "s_be"))).shape
-    best_value = np.full(shape, -np.inf)
-    best_allocation = np.zeros(shape)
-    for allocation in np.arange(grid_step, 1.0, grid_step):
-        value = phi_lambda(float(allocation), cfg, frame, links)
-        better = value > best_value
-        best_value = np.where(better, value, best_value)
-        best_allocation = np.where(better, allocation, best_allocation)
-    if shape == ():
-        return float(best_allocation)
-    return best_allocation
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +181,12 @@ def estimate_asr_allocation_policy(cfg: pr.ProtocolConfig, links: cm.LinkSet,
     allocation comes from the protocol SINRs, which keep it when it is on.
     """
 
-    def rates(frame):
-        allocation = _policy_allocations(sinr_constants(cfg, frame, links))
-        return pr.secrecy_rate(*_sinrs_at(allocation, cfg, frame, links))
+    def rates(gains):
+        allocation = _policy_allocations(sinr_constants(cfg, links, *gains))
+        p = cfg.total_power
+        gamma_m, gamma_1, gamma_2 = pr.sinrs(
+            cfg, links, *gains, allocation * p, (1.0 - allocation) * p)
+        return pr.secrecy_rate(gamma_m, np.maximum(gamma_1, gamma_2))
 
     return mc.estimate_functional(cfg, links, plan, rates)
 
@@ -308,8 +195,8 @@ def allocation_policy_fallback_share(cfg: pr.ProtocolConfig, links: cm.LinkSet,
                                      plan: mc.SimulationPlan) -> float:
     """Fraction of frames the per-frame policy sends to the grid fallback."""
 
-    def indicator(frame):
-        nu = sinr_constants(cfg, frame, links).nu
+    def indicator(gains):
+        nu = sinr_constants(cfg, links, *gains).nu
         return (np.asarray(nu) < 1.0).astype(float)
 
     return mc.estimate_functional(cfg, links, plan, indicator).mean

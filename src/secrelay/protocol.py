@@ -24,8 +24,6 @@ from .channel_models import LinkSet
 
 _HALF_PER_LN2 = 0.5 / math.log(2.0)
 
-_GAIN_FIELDS = ("s_au", "s_ub", "s_ue", "s_ae", "s_be")
-
 
 @dataclass(frozen=True)
 class ProtocolConfig:
@@ -107,30 +105,6 @@ def require_noise(cfg: ProtocolConfig) -> None:
         )
 
 
-@dataclass(frozen=True)
-class FrameRealization:
-    """Small-scale power gains of one frame (or an array batch of frames).
-
-    The relay-destination gain s_ub serves both directions by reciprocity.
-    """
-
-    s_au: object
-    s_ub: object
-    s_ue: object
-    s_ae: object
-    s_be: object
-
-    def __post_init__(self) -> None:
-        for name in _GAIN_FIELDS:
-            v = np.asarray(getattr(self, name))
-            if not np.all(np.isfinite(v) & (v > 0)):
-                raise ValueError(f"{name} must be positive and finite")
-
-    def gains(self) -> tuple:
-        """The five gains in (au, ub, ue, ae, be) order, as sinrs takes them."""
-        return (self.s_au, self.s_ub, self.s_ue, self.s_ae, self.s_be)
-
-
 def sinrs(cfg: ProtocolConfig, links: LinkSet, s_au, s_ub, s_ue, s_ae, s_be,
           source_power, jamming_power):
     """(gamma_main, gamma_eve1, gamma_eve2) of frames with the given gains.
@@ -139,8 +113,8 @@ def sinrs(cfg: ProtocolConfig, links: LinkSet, s_au, s_ub, s_ue, s_ae, s_be,
     evaluates it. The powers are arguments rather than read from cfg, so a
     caller can give each frame its own allocation (arrays broadcast against
     the gains). The gains are taken as given: the Monte Carlo engine draws
-    them, and FrameRealization validates those that callers pass to the
-    optimize entry points.
+    them positive and finite, and no route in the package takes gains from
+    elsewhere.
     """
     n0 = cfg.noise_power
     gamma_eve1 = (

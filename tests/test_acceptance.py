@@ -35,7 +35,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from frame_helpers import draw_frames
+from frame_helpers import draw_frames, phi_grid_argmax
 
 from secrelay import analytic as an
 from secrelay import channel_models as cm
@@ -112,14 +112,6 @@ def test_asr_bound_gap_profile():
             f"target {want} +/- 0.03 (simulated mean {estimate.mean:.5f})")
 
 
-def _single_frame(frames, i):
-    return pr.FrameRealization(
-        s_au=float(frames.s_au[i]), s_ub=float(frames.s_ub[i]),
-        s_ue=float(frames.s_ue[i]), s_ae=float(frames.s_ae[i]),
-        s_be=float(frames.s_be[i]),
-    )
-
-
 def test_allocation_closed_form_hits_grid_argmax():
     # lambda* = 1/(1 + sqrt(nu)) is derived for high transmit SNR with the
     # eavesdropper ratios summed (see the optimize module docstring), so the
@@ -132,7 +124,7 @@ def test_allocation_closed_form_hits_grid_argmax():
     start = time.perf_counter()
     cfg = pr.ProtocolConfig(total_power=watts(80.0))
     frames = draw_frames(LINKS, mc.block_stream(2024, 0), 100)
-    consts = opt.sinr_constants(cfg, frames, LINKS)
+    consts = opt.sinr_constants(cfg, LINKS, *frames)
     residual = 1.0 - 1.0 / (1.0 + np.sqrt(consts.nu))
     assert np.all(consts.c1 > consts.nu), (
         f"high-SNR premise fails: min c1/nu {np.min(consts.c1 / consts.nu):.3g}")
@@ -140,16 +132,11 @@ def test_allocation_closed_form_hits_grid_argmax():
         assert np.all(c * residual >= 100.0), (
             f"high-SNR premise fails: min {name}(1 - lambda*) "
             f"{np.min(c * residual):.3g}, need 100")
-    brute = opt.brute_force_lambda(cfg, frames, LINKS)
-    eligible = 0
-    hits = 0
-    for i in range(100):
-        result = opt.lambda_star(_single_frame(frames, i), LINKS)
-        if result.lambda_star is None:
-            continue
-        eligible += 1
-        if abs(result.lambda_star - brute[i]) <= 2e-3:
-            hits += 1
+    brute = phi_grid_argmax(cfg, frames, LINKS)
+    stars = opt._policy_allocations(consts)
+    closed_form = consts.nu >= 1.0
+    eligible = int(np.count_nonzero(closed_form))
+    hits = int(np.count_nonzero(closed_form & (np.abs(stars - brute) <= 2e-3)))
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     assert hits >= 95, (

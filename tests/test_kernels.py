@@ -65,8 +65,7 @@ def test_numpy_kernel_equals_protocol(residual):
     mu, sigma = link_arrays()
     amp = mu + sigma * z[:, :, 0]
     gains = amp * amp + (sigma * z[:, :, 1]) ** 2
-    # the public route validates the gains the kernel takes as given
-    frame = pr.FrameRealization(*[gains[:, j] for j in range(5)])
+    frame = [gains[:, j] for j in range(5)]
     for beta in (0.0, 0.5, 1.0):
         cfg = pr.ProtocolConfig(total_power=100.0, power_split=beta,
                                 include_residual_epsilon=residual)

@@ -47,8 +47,7 @@ def reference_metrics(cfg, links, plan):
         z = mc.block_stream(plan.seed, index).standard_normal((length, 5, 2))
         amp = mu + sigma * z[:, :, 0]
         gains = amp * amp + (sigma * z[:, :, 1]) ** 2
-        frame = pr.FrameRealization(*[gains[:, j] for j in range(5)])
-        parts.append(frame_sinrs(cfg, frame, links))
+        parts.append(frame_sinrs(cfg, [gains[:, j] for j in range(5)], links))
     return tuple(np.concatenate(cols) for cols in zip(*parts))
 
 
@@ -86,13 +85,16 @@ def test_estimators_reject_zero_noise(estimator):
     # the phase-1 eavesdropper SINR is NaN on 3 frames and inf on 28
     (mc.estimate_sop, 1e308, 1e-2, 31),
     (mc.estimate_asr, 1e308, 1e-2, 31),
+    (opt.estimate_asr_allocation_policy, 1e308, 1e-2, 31),
+    (opt.allocation_policy_fallback_share, 1e308, 1e-2, 31),
 ])
 def test_estimators_reject_non_finite_sinr(estimator, power, noise, bad):
-    # these frames once counted as decoded or as no outage, or surfaced as
-    # a non-finite mean without a cause
+    # these frames once counted as decoded or as no outage, surfaced as a
+    # non-finite mean without a cause, or gave the policy a finite mean
     cfg = pr.ProtocolConfig(total_power=power, noise_power=noise)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match=f"{bad} of 1000 frames gave a non-finite SINR"):
+        with pytest.raises(mc.NonFiniteSinrError,
+                           match=f"{bad} of 1000 frames gave a non-finite SINR"):
             estimator(cfg, LINKS, mc.SimulationPlan(frames=1000, seed=0))
 
 
@@ -100,7 +102,7 @@ def test_functional_rejects_zero_noise():
     cfg = pr.ProtocolConfig(total_power=100.0, noise_power=0.0)
     with pytest.raises(ValueError, match="noise_power"):
         mc.estimate_functional(cfg, LINKS, mc.SimulationPlan(frames=100, seed=0),
-                               lambda frame: np.ones_like(frame.s_au))
+                               lambda gains: np.ones_like(gains[0]))
 
 
 def test_block_stream_reproducible_and_distinct():
@@ -217,7 +219,7 @@ def test_outage_factorises_over_independent_phases():
 def test_constant_functional():
     plan = mc.SimulationPlan(frames=3_000, seed=0)
     est = mc.estimate_functional(
-        CFG, LINKS, plan, lambda frame: np.ones_like(frame.s_au))
+        CFG, LINKS, plan, lambda gains: np.ones_like(gains[0]))
     assert est.mean == 1.0 and est.std_error == 0.0
 
 
@@ -250,9 +252,9 @@ def test_functional_shape_mismatch_rejected():
 def test_functional_must_stay_finite():
     plan = mc.SimulationPlan(frames=1_000, seed=0)
 
-    def bad(frame):
+    def bad(gains):
         with np.errstate(invalid="ignore"):
-            return np.log(1.0 - frame.s_au)
+            return np.log(1.0 - gains[0])
 
     with pytest.raises(ValueError, match="non-finite"):
         mc.estimate_functional(CFG, LINKS, plan, bad)
@@ -422,9 +424,9 @@ def test_clear_block_cache_drops_the_gains(gain_calls):
 def test_functional_gets_read_only_gains():
     plan = mc.SimulationPlan(frames=1_000, seed=0)
 
-    def writes(frame):
-        frame.s_au[0] = 1.0
-        return np.ones_like(frame.s_au)
+    def writes(gains):
+        gains[0][0] = 1.0
+        return np.ones_like(gains[0])
 
     with pytest.raises(ValueError, match="read-only"):
         mc.estimate_functional(CFG, LINKS, plan, writes)

@@ -5,7 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from frame_helpers import capacity, draw_frames, frame_sinrs
+from frame_helpers import (PHI_GRID, Frame, capacity, draw_frames, frame_sinrs, phi,
+                           phi_grid_argmax)
 from hypothesis import assume, given, settings, strategies as st
 
 from secrelay import channel_models as cm
@@ -51,12 +52,19 @@ POLICY_SE = 0.0002584664704052534
 POLICY_FALLBACK_SHARE = 0.00173
 
 
-def single_frame(frames, i):
-    return pr.FrameRealization(
-        s_au=float(frames.s_au[i]), s_ub=float(frames.s_ub[i]),
-        s_ue=float(frames.s_ue[i]), s_ae=float(frames.s_ae[i]),
-        s_be=float(frames.s_be[i]),
-    )
+def one_frame(s_au, s_ub, s_ue, s_ae, s_be):
+    """A single frame as length-1 arrays, the shape the policy works on."""
+    return Frame(*(np.array([g], dtype=float) for g in (s_au, s_ub, s_ue, s_ae, s_be)))
+
+
+def policy(cfg, frame, links):
+    """(nu, allocation) of the per-frame policy, one entry per frame."""
+    consts = opt.sinr_constants(cfg, links, *frame)
+    return consts.nu, opt._policy_allocations(consts)
+
+
+# The 99-point grid of the policy's nu < 1 fallback.
+FULL_GRID = np.linspace(0.01, 0.99, 99)
 
 
 # ---------------------------------------------------------------------------
@@ -64,55 +72,35 @@ def single_frame(frames, i):
 
 
 def test_interior_branch():
-    frame = pr.FrameRealization(s_au=2.0, s_ub=1.0, s_ue=1.0, s_ae=2.0, s_be=1.0)
-    result = opt.lambda_star(frame)
-    assert result.case == opt.CASE_INTERIOR
-    assert result.nu == 4.0
-    assert result.lambda_star == pytest.approx(1.0 / 3.0, rel=1e-15)
+    nu, allocation = policy(CFG30, one_frame(2.0, 1.0, 1.0, 2.0, 1.0), UNIT_LINKS)
+    assert nu[0] == 4.0
+    assert allocation[0] == pytest.approx(1.0 / 3.0, rel=1e-15)
 
 
 def test_no_optimum_branch_is_a_value():
-    frame = pr.FrameRealization(s_au=1.0, s_ub=8.0, s_ue=1.0, s_ae=1.0, s_be=8.0)
-    result = opt.lambda_star(frame)
-    assert result.case == opt.CASE_NO_OPTIMUM
-    assert result.nu == 0.25
-    assert result.lambda_star is None
+    # no interior optimum: the policy takes the best point of its grid
+    frame = one_frame(1.0, 8.0, 1.0, 1.0, 8.0)
+    consts = opt.sinr_constants(CFG30, UNIT_LINKS, *frame)
+    assert consts.nu[0] == 0.25
+    allocation = opt._policy_allocations(consts)
+    assert np.isin(allocation, FULL_GRID).all()
+    np.testing.assert_array_equal(allocation, opt._grid_argmax(consts))
 
 
 def test_half_branch():
-    frame = pr.FrameRealization(s_au=1.0, s_ub=2.0, s_ue=1.0, s_ae=1.0, s_be=2.0)
-    result = opt.lambda_star(frame)
-    assert result.case == opt.CASE_HALF
-    assert result.lambda_star == 0.5
+    nu, allocation = policy(CFG30, one_frame(1.0, 2.0, 1.0, 1.0, 2.0), UNIT_LINKS)
+    assert nu[0] == 1.0
+    assert allocation[0] == 0.5
 
 
 def test_links_scale_the_ratios():
-    frame = pr.FrameRealization(s_au=1.0, s_ub=1.0, s_ue=1.0, s_ae=1.0, s_be=1.0)
-    raw = opt.lambda_star(frame)
-    scaled = opt.lambda_star(frame, LINKS)
-    assert raw.nu == 2.0
+    frame = one_frame(1.0, 1.0, 1.0, 1.0, 1.0)
+    raw = opt.sinr_constants(CFG30, UNIT_LINKS, *frame).nu
+    scaled = opt.sinr_constants(CFG30, LINKS, *frame).nu
+    assert raw[0] == 2.0
     expected = (LINKS.ae.large_scale_gain / LINKS.be.large_scale_gain
                 + LINKS.au.large_scale_gain / LINKS.ub.large_scale_gain)
-    assert scaled.nu == pytest.approx(expected, rel=1e-14)
-
-
-def test_batch_frames_rejected():
-    with pytest.raises(TypeError):
-        opt.lambda_star(FRAMES)
-
-
-def test_result_validation():
-    opt.LambdaStarResult(nu=4.0, lambda_star=1.0 / 3.0, case=opt.CASE_INTERIOR)
-    with pytest.raises(ValueError):
-        opt.LambdaStarResult(nu=4.0, lambda_star=0.5, case=opt.CASE_INTERIOR)
-    with pytest.raises(ValueError):
-        opt.LambdaStarResult(nu=0.25, lambda_star=0.5, case=opt.CASE_NO_OPTIMUM)
-    with pytest.raises(ValueError):
-        opt.LambdaStarResult(nu=2.0, lambda_star=0.5, case=opt.CASE_HALF)
-    with pytest.raises(ValueError):
-        opt.LambdaStarResult(nu=2.0, lambda_star=None, case="bogus")
-    with pytest.raises(ValueError):
-        opt.LambdaStarResult(nu=-1.0, lambda_star=None, case=opt.CASE_NO_OPTIMUM)
+    assert scaled[0] == pytest.approx(expected, rel=1e-14)
 
 
 @given(
@@ -123,16 +111,13 @@ def test_result_validation():
 )
 @settings(max_examples=80, deadline=None)
 def test_branches_partition_nu(s_au, s_ub, s_ae, s_be):
-    frame = pr.FrameRealization(s_au=s_au, s_ub=s_ub, s_ue=1.0,
-                                s_ae=s_ae, s_be=s_be)
-    result = opt.lambda_star(frame)
-    if result.nu < 1.0:
-        assert result.case == opt.CASE_NO_OPTIMUM
-    elif result.nu == 1.0:
-        assert result.case == opt.CASE_HALF
+    nu, allocation = policy(CFG30, one_frame(s_au, s_ub, 1.0, s_ae, s_be), UNIT_LINKS)
+    if nu[0] < 1.0:
+        assert np.isin(allocation, FULL_GRID).all()
+    elif nu[0] == 1.0:
+        assert allocation[0] == 0.5
     else:
-        assert result.case == opt.CASE_INTERIOR
-        assert 0.0 < result.lambda_star < 0.5
+        assert 0.0 < allocation[0] < 0.5
 
 
 @given(
@@ -144,14 +129,13 @@ def test_branches_partition_nu(s_au, s_ub, s_ae, s_be):
 )
 @settings(max_examples=80, deadline=None)
 def test_lambda_star_scale_invariant(s_au, s_ub, s_ae, s_be, kappa):
-    base = pr.FrameRealization(s_au=s_au, s_ub=s_ub, s_ue=1.0,
-                               s_ae=s_ae, s_be=s_be)
-    scaled = pr.FrameRealization(s_au=kappa * s_au, s_ub=kappa * s_ub,
-                                 s_ue=kappa, s_ae=kappa * s_ae,
-                                 s_be=kappa * s_be)
-    a, b = opt.lambda_star(base), opt.lambda_star(scaled)
-    assert a.case == b.case
-    assert a.nu == pytest.approx(b.nu, rel=1e-12)
+    a_nu, a = policy(CFG30, one_frame(s_au, s_ub, 1.0, s_ae, s_be), UNIT_LINKS)
+    b_nu, b = policy(CFG30, one_frame(kappa * s_au, kappa * s_ub, kappa,
+                                      kappa * s_ae, kappa * s_be), UNIT_LINKS)
+    assert a_nu[0] == pytest.approx(b_nu[0], rel=1e-12)
+    # the closed form reads nu alone; the fallback also reads the SNR
+    if a_nu[0] >= 1.0 and b_nu[0] >= 1.0:
+        assert a[0] == pytest.approx(b[0], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +146,8 @@ def test_exact_phi_matches_rational_reparametrization():
     # The SinrConstants tuple claims to capture the whole allocation
     # dependence; check it against the protocol route across the domain.
     for lam in (0.05, 0.37, 0.93):
-        exact = opt.phi_lambda(lam, CFG30, FRAMES, LINKS)
-        c = opt.sinr_constants(CFG30, FRAMES, LINKS)
+        exact = phi(CFG30, FRAMES, LINKS, lam)
+        c = opt.sinr_constants(CFG30, LINKS, *FRAMES)
         gamma_m = lam * c.c1
         gamma_e = np.maximum(lam * c.c2 / ((1 - lam) * c.c3 + 1.0),
                              lam * c.c4 / ((1 - lam) * c.c5 + 1.0))
@@ -176,10 +160,10 @@ def test_sinr_constants_reproduce_protocol_sinrs(beta):
     # The rational form is the only SINR model besides protocol.sinrs; with
     # the residual term off it must give the same three SINRs.
     cfg = pr.ProtocolConfig(total_power=1000.0, power_split=beta)
-    c = opt.sinr_constants(cfg, FRAMES, LINKS)
+    c = opt.sinr_constants(cfg, LINKS, *FRAMES)
     for lam in (0.05, 0.37, 0.93, 1.0):
         p_a, p_b = lam * cfg.total_power, (1.0 - lam) * cfg.total_power
-        gamma_m, gamma_1, gamma_2 = pr.sinrs(cfg, LINKS, *FRAMES.gains(), p_a, p_b)
+        gamma_m, gamma_1, gamma_2 = pr.sinrs(cfg, LINKS, *FRAMES, p_a, p_b)
         np.testing.assert_allclose(lam * c.c1, gamma_m, rtol=1e-12)
         np.testing.assert_allclose(
             lam * c.c2 / ((1.0 - lam) * c.c3 + 1.0), gamma_1, rtol=1e-12)
@@ -189,69 +173,50 @@ def test_sinr_constants_reproduce_protocol_sinrs(beta):
 
 def test_phi_vanishes_linearly_at_zero_allocation():
     # No source power, no rate for anyone: phi -> 0, with slope c1.
-    frame = pr.FrameRealization(s_au=1.0, s_ub=1.0, s_ue=1.0, s_ae=1.0, s_be=1.0)
-    v12 = opt.phi_lambda(1e-12, CFG30, frame, UNIT_LINKS)
-    v10 = opt.phi_lambda(1e-10, CFG30, frame, UNIT_LINKS)
+    frame = Frame(1.0, 1.0, 1.0, 1.0, 1.0)
+    v12 = phi(CFG30, frame, UNIT_LINKS, 1e-12)
+    v10 = phi(CFG30, frame, UNIT_LINKS, 1e-10)
     assert abs(v12) < 1e-7
     assert v12 / v10 == pytest.approx(0.01, rel=1e-6)
 
 
 def test_phi_negative_when_eavesdropper_dominates():
-    frame = pr.FrameRealization(s_au=1.0, s_ub=1.0, s_ue=1.0,
-                                s_ae=1000.0, s_be=0.001)
+    frame = Frame(1.0, 1.0, 1.0, 1000.0, 0.001)
     for lam in (1e-8, 1e-4, 0.5):
-        assert opt.phi_lambda(lam, CFG30, frame, UNIT_LINKS) < 0.0
-
-
-def test_phi_validation():
-    frame = pr.FrameRealization(s_au=1.0, s_ub=1.0, s_ue=1.0, s_ae=1.0, s_be=1.0)
-    with pytest.raises(ValueError):
-        opt.phi_lambda(0.0, CFG30, frame, UNIT_LINKS)
-    with pytest.raises(ValueError):
-        opt.phi_lambda(1.0, CFG30, frame, UNIT_LINKS)
-    with pytest.raises(ValueError):
-        opt.phi_lambda(0.5, CFG30, frame, UNIT_LINKS, mode="wrong")
+        assert phi(CFG30, frame, UNIT_LINKS, lam) < 0.0
 
 
 def test_approximate_mode_peaks_at_closed_form():
-    frame = pr.FrameRealization(s_au=1.0, s_ub=1.0, s_ue=1.0, s_ae=1.0, s_be=1.0)
-    grid = np.arange(1e-3, 1.0, 1e-3)
-    values = [opt.phi_lambda(float(g), CFG30, frame, UNIT_LINKS,
-                             mode="approximate") for g in grid]
-    argmax = float(grid[int(np.argmax(values))])
+    # phi's high-SNR form c1*a*(1-a) / (1 + (nu-1)*a) peaks at the closed
+    # form 1/(1 + sqrt(nu)) that the policy applies
+    consts = opt.sinr_constants(CFG30, UNIT_LINKS, *one_frame(1.0, 1.0, 1.0, 1.0, 1.0))
+    values = consts.c1 * PHI_GRID * (1.0 - PHI_GRID) / (1.0 + (consts.nu - 1.0) * PHI_GRID)
+    argmax = float(PHI_GRID[int(np.argmax(values))])
     assert argmax == pytest.approx(1.0 / (1.0 + math.sqrt(2.0)), abs=1e-3)
+    assert argmax == pytest.approx(opt._policy_allocations(consts)[0], abs=1e-3)
 
 
 def test_exact_argmax_approaches_closed_form_as_relay_gain_grows():
     # With the relayed path overwhelming (huge s_ub), the remaining
     # eavesdropper ratio dominates nu and the closed form becomes exact.
-    frame = pr.FrameRealization(s_au=1.0, s_ub=1e12, s_ue=1.0,
-                                s_ae=2.0, s_be=1.0)
-    best = opt.brute_force_lambda(CFG30, frame, UNIT_LINKS)
-    star = opt.lambda_star(frame, UNIT_LINKS)
-    assert star.lambda_star == pytest.approx(1.0 / (1.0 + math.sqrt(2.0)), rel=1e-6)
-    assert abs(best - star.lambda_star) <= 2e-3
+    frame = one_frame(1.0, 1e12, 1.0, 2.0, 1.0)
+    best = phi_grid_argmax(CFG30, frame, UNIT_LINKS)[0]
+    _, star = policy(CFG30, frame, UNIT_LINKS)
+    assert star[0] == pytest.approx(1.0 / (1.0 + math.sqrt(2.0)), rel=1e-6)
+    assert abs(best - star[0]) <= 2e-3
 
 
 # ---------------------------------------------------------------------------
 # grid argmax vs closed form on sampled frames
 
 
-def test_brute_force_validation():
-    frame = pr.FrameRealization(s_au=1.0, s_ub=1.0, s_ue=1.0, s_ae=1.0, s_be=1.0)
-    with pytest.raises(ValueError):
-        opt.brute_force_lambda(CFG30, frame, UNIT_LINKS, grid_step=5e-3)
-    with pytest.raises(ValueError):
-        opt.brute_force_lambda(CFG30, frame, UNIT_LINKS, grid_step=0.0)
-
-
 def test_frozen_frame_anatomy():
-    brute = opt.brute_force_lambda(CFG30, FRAMES, LINKS)
+    brute = phi_grid_argmax(CFG30, FRAMES, LINKS)
     assert brute.shape == (100,)
-    for i, nu, star, best in FRAME_PINS:
-        result = opt.lambda_star(single_frame(FRAMES, i), LINKS)
-        assert result.nu == pytest.approx(nu, rel=1e-12)
-        assert result.lambda_star == pytest.approx(star, rel=1e-12)
+    nu, stars = policy(CFG30, FRAMES, LINKS)
+    for i, nu_i, star, best in FRAME_PINS:
+        assert nu[i] == pytest.approx(nu_i, rel=1e-12)
+        assert stars[i] == pytest.approx(star, rel=1e-12)
         assert brute[i] == pytest.approx(best, abs=1e-12)
 
 
@@ -259,9 +224,9 @@ def test_closed_form_hit_count_on_frozen_frames():
     # At this drop the high-SNR premise fails for most frames (the amplified
     # noise terms are order one), so the closed form rarely lands on the
     # exact argmax. Pinned so any drift in either route is caught.
-    brute = opt.brute_force_lambda(CFG30, FRAMES, LINKS)
-    stars = np.array([opt.lambda_star(single_frame(FRAMES, i), LINKS).lambda_star
-                      for i in range(100)])
+    brute = phi_grid_argmax(CFG30, FRAMES, LINKS)
+    nu, stars = policy(CFG30, FRAMES, LINKS)
+    assert np.all(nu >= 1.0)  # every frame takes the closed form
     hits = int(np.sum(np.abs(stars - brute) <= 2e-3))
     assert hits == CLOSED_FORM_HITS
 
@@ -277,15 +242,11 @@ def test_closed_form_accurate_under_its_premise():
     )
     frames = draw_frames(dominated, mc.block_stream(2024, 2), 100)
     cfg = pr.ProtocolConfig(total_power=1e5)
-    brute = opt.brute_force_lambda(cfg, frames, dominated)
-    eligible, hits = 0, 0
-    for i in range(100):
-        result = opt.lambda_star(single_frame(frames, i), dominated)
-        if result.nu < 1.0:
-            continue
-        eligible += 1
-        if abs(result.lambda_star - brute[i]) <= 2e-3:
-            hits += 1
+    brute = phi_grid_argmax(cfg, frames, dominated)
+    nu, stars = policy(cfg, frames, dominated)
+    closed_form = nu >= 1.0
+    eligible = int(np.count_nonzero(closed_form))
+    hits = int(np.count_nonzero(closed_form & (np.abs(stars - brute) <= 2e-3)))
     assert eligible == 53
     assert hits >= round(0.95 * eligible)
 
@@ -293,9 +254,7 @@ def test_closed_form_accurate_under_its_premise():
 def test_phi_unimodal_on_grid():
     # min of two quasi-concave ratios: at most one sign change in the
     # discrete slopes of every frame's profile.
-    grid = np.arange(1e-3, 1.0, 1e-3)
-    values = np.stack([opt.phi_lambda(float(g), CFG30, FRAMES, LINKS)
-                       for g in grid])
+    values = np.stack([phi(CFG30, FRAMES, LINKS, float(g)) for g in PHI_GRID])
     for i in range(values.shape[1]):
         signs = np.sign(np.diff(values[:, i]))
         signs = signs[signs != 0]
@@ -314,10 +273,6 @@ def test_policy_estimate_frozen():
     assert est.std_error == pytest.approx(POLICY_SE, rel=1e-9)
     share = opt.allocation_policy_fallback_share(CFG20, LINKS, plan)
     assert share == pytest.approx(POLICY_FALLBACK_SHARE, abs=1e-12)
-
-
-# The 99-point argmax that the policy fallback must reproduce frame for frame.
-FULL_GRID = np.linspace(0.01, 0.99, 99)
 
 
 def full_grid_argmax(consts):
@@ -347,9 +302,9 @@ def test_fallback_matches_full_grid_on_placement_frames():
             links = cm.build_links(geo.move_relay(geometry, along=along),
                                    cfg.environment)
 
-            def grab(frame, links=links):
-                parts.append(low_nu(opt.sinr_constants(protocol, frame, links)))
-                return np.zeros(frame.s_au.size)
+            def grab(gains, links=links):
+                parts.append(low_nu(opt.sinr_constants(protocol, links, *gains)))
+                return np.zeros(gains[0].size)
 
             mc.estimate_functional(protocol, links, plan, grab)
     consts = opt.SinrConstants(*(np.concatenate(c) for c in zip(*parts)))
@@ -456,8 +411,8 @@ def replayed_policy_mean(cfg, plan):
     z = mc.block_stream(plan.seed, 0).standard_normal((plan.frames, 5, 2))
     amp = mu + sigma * z[:, :, 0]
     gains = amp * amp + (sigma * z[:, :, 1]) ** 2
-    frames = pr.FrameRealization(*[gains[:, j] for j in range(5)])
-    consts = opt.sinr_constants(cfg, frames, LINKS)
+    frames = Frame(*[gains[:, j] for j in range(5)])
+    consts = opt.sinr_constants(cfg, LINKS, *frames)
     nu = np.asarray(consts.nu)
     fallback_grid = np.linspace(0.01, 0.99, 99)
     rates = np.empty(plan.frames)
@@ -468,7 +423,7 @@ def replayed_policy_mean(cfg, plan):
         else:
             cand = [opt._rate_from_constants(g, ci) for g in fallback_grid]
             lam = float(fallback_grid[int(np.argmax(cand))])
-        frame = pr.FrameRealization(*(float(g[i]) for g in frames.gains()))
+        frame = Frame(*(float(g[i]) for g in frames))
         gm, g1, g2 = frame_sinrs(replace(cfg, allocation=lam), frame, LINKS)
         rates[i] = np.maximum(capacity(gm) - capacity(np.maximum(g1, g2)), 0.0)
     return float(rates.mean())

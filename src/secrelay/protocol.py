@@ -112,7 +112,8 @@ def sinrs(cfg: ProtocolConfig, links: LinkSet, s_au, s_ub, s_ue, s_ae, s_be,
     This is the one place the three SINRs are written; every other route
     evaluates it. The powers are arguments rather than read from cfg, so a
     caller can give each frame its own allocation (arrays broadcast against
-    the gains). The gains are taken as given: the Monte Carlo engine draws
+    the gains). The relay-destination gain s_ub serves both directions by
+    reciprocity. The gains are taken as given: the Monte Carlo engine draws
     them positive and finite, and no route in the package takes gains from
     elsewhere.
     """

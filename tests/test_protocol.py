@@ -9,7 +9,6 @@ zero.
 """
 
 import itertools
-import math
 
 import numpy as np
 import pytest

@@ -157,122 +157,110 @@ def _blocks(plan: SimulationPlan, spans, links: LinkSet) -> list[tuple]:
         return [_gains(_cache[key], mu, sigma, link_key) for key in keys]
 
 
-def _collect(plan: SimulationPlan, links: LinkSet, per_block):
-    """Run per_block(gains) on each block's gains, results in block order.
+def _gain_blocks(plan: SimulationPlan, links: LinkSet):
+    """Each block's gains, in block order, on the calling thread.
 
-    Blocks are evaluated on the calling thread. Plans longer than the cache
-    go in chunks of CACHE_BLOCKS, so no block is drawn twice per call and
-    memory stays bounded.
+    Plans longer than the cache go in chunks of CACHE_BLOCKS, so no block is
+    drawn twice per call and memory stays bounded.
     """
     spans = _spans(plan.frames)
-    results = []
     for start in range(0, len(spans), CACHE_BLOCKS):
-        chunk = spans[start:start + CACHE_BLOCKS]
-        results += [per_block(gains) for gains in _blocks(plan, chunk, links)]
-    return results
+        yield from _blocks(plan, spans[start:start + CACHE_BLOCKS], links)
 
 
-def _nonfinite(gamma: np.ndarray) -> int:
-    """Frames whose SINR is NaN or infinite.
+def _nonfinite(values: np.ndarray) -> int:
+    """Entries that are NaN or infinite.
 
-    SINRs are non-negative, so one sum settles the all-finite case; the
-    elementwise count runs only when that sum is not finite.
+    Any such entry makes the sum non-finite, so one sum settles the
+    all-finite case; the elementwise count runs only when that sum is not
+    finite, which a sum of large finite values can also be.
     """
-    if math.isfinite(np.sum(gamma)):
-        return 0
-    return int(np.count_nonzero(~np.isfinite(gamma)))
+    with np.errstate(over="ignore"):
+        if math.isfinite(np.sum(values)):
+            return 0
+    return int(np.count_nonzero(~np.isfinite(values)))
 
 
 class NonFiniteSinrError(ValueError):
     """Frames whose SINR left double range: the powers or gains are too large."""
 
 
-def _require_finite(plan: SimulationPlan, bad: int) -> None:
-    if bad:
+def _estimate(cfg: ProtocolConfig, links: LinkSet, plan: SimulationPlan,
+              values) -> Estimate:
+    """Mean over the plan of the per-frame values(gains, sinrs): the one
+    per-block path behind every estimator.
+
+    Each block's SINRs are computed once, at cfg's powers, as the list
+    [gamma_m, gamma_e], gamma_e the better of the eavesdropper's two. A
+    frame where gamma_m + gamma_e is not finite is refused: from then on no
+    block is reduced, and NonFiniteSinrError gives the count over the whole
+    plan. Otherwise values maps the block to its per-frame values; a values
+    function that does not read the SINRs empties the list, which releases
+    them before it works on the gains. Each block is reduced to a sum and a
+    sum of squares, and the sums are folded in block order. Boolean values
+    are hits and get the binomial standard error, real values the sample
+    one.
+    """
+    require_noise(cfg)
+    total = total_sq = 0.0
+    refused = bad = 0
+    for gains in _gain_blocks(plan, links):
+        gamma_m, gamma_1, gamma_2 = _kernels.frame_metrics(gains, cfg, links)
+        sinrs = [gamma_m, np.maximum(gamma_1, gamma_2)]
+        del gamma_m, gamma_1, gamma_2  # so that emptying sinrs frees them
+        refused += _nonfinite(sinrs[0] + sinrs[1])
+        if not refused:
+            frame_values = values(gains, sinrs)
+            hits = frame_values.dtype == bool
+            if hits:
+                total += np.count_nonzero(frame_values)
+            else:
+                block_sum = float(np.sum(frame_values))
+                if not math.isfinite(block_sum):
+                    bad += _nonfinite(frame_values)
+                total += block_sum
+                total_sq += float(np.dot(frame_values, frame_values))
+            del frame_values
+        # no block's arrays outlive it, so the next block reuses their memory
+        del sinrs
+    if refused:
         raise NonFiniteSinrError(
-            f"{bad} of {plan.frames} frames gave a non-finite SINR; the "
+            f"{refused} of {plan.frames} frames gave a non-finite SINR; the "
             "configured powers or gains leave double range"
         )
-
-
-def _binomial_estimate(plan: SimulationPlan, results) -> Estimate:
-    hits = sum(h for h, _ in results)
-    _require_finite(plan, sum(b for _, b in results))
-    mean = hits / plan.frames
-    std_error = math.sqrt(mean * (1.0 - mean) / plan.frames)
-    return Estimate(mean=mean, std_error=std_error, frames=plan.frames, seed=plan.seed)
-
-
-def _moment_estimate(plan: SimulationPlan, total: float, total_sq: float) -> Estimate:
+    if bad:
+        raise ValueError(
+            f"functional produced {bad} non-finite values over {plan.frames} frames"
+        )
     n = plan.frames
     mean = total / n
-    if n > 1:
-        var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
+    if hits:
+        variance = mean * (1.0 - mean)
+    elif n > 1:
+        variance = max(total_sq - n * mean * mean, 0.0) / (n - 1)
     else:
-        var = 0.0
-    return Estimate(mean=mean, std_error=math.sqrt(var / n), frames=n, seed=plan.seed)
-
-
-def _moment_sums(results) -> tuple[float, float, int]:
-    """Fold per-block (sum, sum of squares, non-finite count) in block order."""
-    total = 0.0
-    total_sq = 0.0
-    bad = 0
-    for s1, s2, b in results:
-        total += s1
-        total_sq += s2
-        bad += b
-    return total, total_sq, bad
+        variance = 0.0
+    return Estimate(mean=mean, std_error=math.sqrt(variance / n), frames=n,
+                    seed=plan.seed)
 
 
 def estimate_cp(cfg: ProtocolConfig, links: LinkSet, plan: SimulationPlan) -> Estimate:
     """Probability that the destination decodes: fraction of frames with
     main-link SINR above the transmission threshold."""
-    require_noise(cfg)
     delta = cfg.delta_t
-
-    def per_block(gains):
-        gamma_m, _, _ = _kernels.frame_metrics(gains, cfg, links)
-        return int(np.count_nonzero(gamma_m > delta)), _nonfinite(gamma_m)
-
-    return _binomial_estimate(plan, _collect(plan, links, per_block))
+    return _estimate(cfg, links, plan, lambda gains, sinrs: sinrs[0] > delta)
 
 
 def estimate_sop(cfg: ProtocolConfig, links: LinkSet, plan: SimulationPlan) -> Estimate:
     """Probability of a secrecy outage: fraction of frames where the better of
     the eavesdropper's two SINRs clears the secrecy threshold."""
-    require_noise(cfg)
     delta = cfg.delta_e
-
-    def per_block(gains):
-        _, gamma_1, gamma_2 = _kernels.frame_metrics(gains, cfg, links)
-        gamma_e = np.maximum(gamma_1, gamma_2)
-        return int(np.count_nonzero(gamma_e > delta)), _nonfinite(gamma_e)
-
-    return _binomial_estimate(plan, _collect(plan, links, per_block))
-
-
-def _nonfinite_sinrs(gains, cfg: ProtocolConfig, links: LinkSet) -> int:
-    """Frames whose main or eavesdropper SINR at cfg's powers is not finite,
-    counted as estimate_asr counts them."""
-    gamma_m, gamma_1, gamma_2 = _kernels.frame_metrics(gains, cfg, links)
-    return _nonfinite(gamma_m + np.maximum(gamma_1, gamma_2))
+    return _estimate(cfg, links, plan, lambda gains, sinrs: sinrs[1] > delta)
 
 
 def estimate_asr(cfg: ProtocolConfig, links: LinkSet, plan: SimulationPlan) -> Estimate:
     """Average secrecy rate: mean clamped capacity gap in bits/s/Hz."""
-    require_noise(cfg)
-
-    def per_block(gains):
-        gamma_m, gamma_1, gamma_2 = _kernels.frame_metrics(gains, cfg, links)
-        gamma_e = np.maximum(gamma_1, gamma_2)
-        rate = secrecy_rate(gamma_m, gamma_e)
-        return (float(np.sum(rate)), float(np.dot(rate, rate)),
-                _nonfinite(gamma_m + gamma_e))
-
-    total, total_sq, bad = _moment_sums(_collect(plan, links, per_block))
-    _require_finite(plan, bad)
-    return _moment_estimate(plan, total, total_sq)
+    return _estimate(cfg, links, plan, lambda gains, sinrs: secrecy_rate(*sinrs))
 
 
 def estimate_functional(
@@ -282,32 +270,22 @@ def estimate_functional(
     metric estimators consume.
 
     The functional receives the five read-only length-n gain arrays in
-    (au, ub, ue, ae, be) order, as one tuple, and must return n real values.
-    Frames whose SINRs at cfg's powers leave double range are refused as
-    estimate_asr refuses them, whatever the functional does with the gains.
+    (au, ub, ue, ae, be) order, as one tuple, and must return n real values;
+    another shape raises ValueError at once. Frames whose SINRs at cfg's
+    powers leave double range are refused under the rule every estimator
+    applies, whatever the functional does with the gains; the functional
+    sees no block from the first refused one on. Non-finite values raise
+    ValueError with their count over the whole plan.
     """
-    require_noise(cfg)
 
-    def per_block(gains):
-        bad_sinr = _nonfinite_sinrs(gains, cfg, links)
-        if bad_sinr:
-            return 0.0, 0.0, 0, bad_sinr
+    def values(gains, sinrs):
+        sinrs.clear()
         length = len(gains[0])
-        values = np.asarray(functional(gains), dtype=float)
-        if values.shape != (length,):
+        frame_values = np.asarray(functional(gains), dtype=float)
+        if frame_values.shape != (length,):
             raise ValueError(
-                f"functional returned shape {values.shape}, expected ({length},)"
+                f"functional returned shape {frame_values.shape}, expected ({length},)"
             )
-        bad = int(np.count_nonzero(~np.isfinite(values)))
-        if bad:
-            return 0.0, 0.0, bad, 0
-        return float(np.sum(values)), float(np.dot(values, values)), 0, 0
+        return frame_values
 
-    results = _collect(plan, links, per_block)
-    _require_finite(plan, sum(r[3] for r in results))
-    total, total_sq, bad = _moment_sums(r[:3] for r in results)
-    if bad:
-        raise ValueError(
-            f"functional produced {bad} non-finite values over {plan.frames} frames"
-        )
-    return _moment_estimate(plan, total, total_sq)
+    return _estimate(cfg, links, plan, values)

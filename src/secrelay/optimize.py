@@ -26,6 +26,7 @@ results are deterministic given (seed, grid).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -168,6 +169,39 @@ def _policy_allocations(consts: SinrConstants) -> np.ndarray:
     return allocation
 
 
+def _policy_estimate(cfg: pr.ProtocolConfig, links: cm.LinkSet,
+                     plan: mc.SimulationPlan, per_frame) -> mc.Estimate:
+    """estimate_functional of per_frame(consts, gains), consts the block's
+    SinrConstants.
+
+    The constants are SINR terms at the total power, which the policy may
+    give to either transmitter, so they leave double range at powers where
+    the SINRs at cfg's powers do not. A frame with a non-finite constant is
+    refused before the policy reads it, as the engine refuses non-finite
+    SINRs: from then on the policy reads no block, and NonFiniteSinrError
+    gives the count over the whole plan.
+    """
+    refused = 0
+
+    def functional(gains):
+        nonlocal refused
+        with np.errstate(over="ignore", invalid="ignore"):
+            consts = sinr_constants(cfg, links, *gains)
+        refused += mc._nonfinite(functools.reduce(np.maximum, consts))
+        if refused:
+            return np.zeros(len(gains[0]))
+        return per_frame(consts, gains)
+
+    estimate = mc.estimate_functional(cfg, links, plan, functional)
+    if refused:
+        raise mc.NonFiniteSinrError(
+            f"{refused} of {plan.frames} frames gave a non-finite SINR constant "
+            f"for the allocation policy; the total power {cfg.total_power} W "
+            "leaves double range"
+        )
+    return estimate
+
+
 def estimate_asr_allocation_policy(cfg: pr.ProtocolConfig, links: cm.LinkSet,
                                    plan: mc.SimulationPlan) -> mc.Estimate:
     """Average secrecy rate when every frame applies its own lambda*.
@@ -181,25 +215,24 @@ def estimate_asr_allocation_policy(cfg: pr.ProtocolConfig, links: cm.LinkSet,
     allocation comes from the protocol SINRs, which keep it when it is on.
     """
 
-    def rates(gains):
-        allocation = _policy_allocations(sinr_constants(cfg, links, *gains))
+    def rates(consts, gains):
+        allocation = _policy_allocations(consts)
         p = cfg.total_power
         gamma_m, gamma_1, gamma_2 = pr.sinrs(
             cfg, links, *gains, allocation * p, (1.0 - allocation) * p)
         return pr.secrecy_rate(gamma_m, np.maximum(gamma_1, gamma_2))
 
-    return mc.estimate_functional(cfg, links, plan, rates)
+    return _policy_estimate(cfg, links, plan, rates)
 
 
 def allocation_policy_fallback_share(cfg: pr.ProtocolConfig, links: cm.LinkSet,
                                      plan: mc.SimulationPlan) -> float:
     """Fraction of frames the per-frame policy sends to the grid fallback."""
 
-    def indicator(gains):
-        nu = sinr_constants(cfg, links, *gains).nu
-        return (np.asarray(nu) < 1.0).astype(float)
+    def indicator(consts, gains):
+        return (np.asarray(consts.nu) < 1.0).astype(float)
 
-    return mc.estimate_functional(cfg, links, plan, indicator).mean
+    return _policy_estimate(cfg, links, plan, indicator).mean
 
 
 # ---------------------------------------------------------------------------

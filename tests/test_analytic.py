@@ -828,7 +828,7 @@ def test_asr_lower_bound_order_refinement():
 
 
 @pytest.mark.parametrize("order", [128, 130, 160, 400])
-def test_asr_lower_bound_deep_orders_are_finite_or_signalled(order):
+def test_asr_lower_bound_deep_orders_are_finite_and_grow(order):
     # at R = 128 and 130 the bound was once a silent nan, and from R = 150
     # Phi(150, b) left double range and raised
     got = an.asr_lower_bound(cfg_at(20), LINKS, sf.TruncationOrders(R=order))

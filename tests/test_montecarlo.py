@@ -3,6 +3,7 @@
 import sys
 import threading
 import time
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -79,6 +80,12 @@ def test_estimators_reject_zero_noise(estimator):
         estimator(cfg, LINKS, mc.SimulationPlan(frames=100, seed=0))
 
 
+def constant_functional(cfg, links, plan):
+    """estimate_functional of a functional that is 1 on every frame."""
+    return mc.estimate_functional(cfg, links, plan,
+                                  lambda gains: np.ones_like(gains[0]))
+
+
 @pytest.mark.parametrize("estimator,power,noise,bad", [
     # the main-link SINR overflows to inf on 191 frames
     (mc.estimate_cp, 1e300, 1e-12, 191),
@@ -87,6 +94,15 @@ def test_estimators_reject_zero_noise(estimator):
     (mc.estimate_asr, 1e308, 1e-2, 31),
     (opt.estimate_asr_allocation_policy, 1e308, 1e-2, 31),
     (opt.allocation_policy_fallback_share, 1e308, 1e-2, 31),
+    # one rule for every estimator, whichever SINR its metric reads
+    (mc.estimate_cp, 1e308, 1e-2, 31),
+    (mc.estimate_sop, 1e300, 1e-12, 191),
+    (constant_functional, 1e308, 1e-2, 31),
+    (constant_functional, 1e300, 1e-12, 191),
+    # the SINRs at cfg's powers are finite, but the policy's constant
+    # c3 = p*w/n0 at the total power is inf on 57 frames
+    (opt.estimate_asr_allocation_policy, 1e307, 1e-2, 57),
+    (opt.allocation_policy_fallback_share, 1e307, 1e-2, 57),
 ])
 def test_estimators_reject_non_finite_sinr(estimator, power, noise, bad):
     # these frames once counted as decoded or as no outage, surfaced as a
@@ -95,6 +111,18 @@ def test_estimators_reject_non_finite_sinr(estimator, power, noise, bad):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(mc.NonFiniteSinrError,
                            match=f"{bad} of 1000 frames gave a non-finite SINR"):
+            estimator(cfg, LINKS, mc.SimulationPlan(frames=1000, seed=0))
+
+
+@pytest.mark.parametrize("estimator", [opt.estimate_asr_allocation_policy,
+                                       opt.allocation_policy_fallback_share])
+def test_policy_refuses_overflowed_constants_without_warning(estimator):
+    # the policy once picked allocations from the infinite constants, with
+    # an overflow RuntimeWarning from sinr_constants and a finite mean
+    cfg = pr.ProtocolConfig(total_power=1e307)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(mc.NonFiniteSinrError, match="57 of 1000 frames"):
             estimator(cfg, LINKS, mc.SimulationPlan(frames=1000, seed=0))
 
 
@@ -247,6 +275,27 @@ def test_functional_shape_mismatch_rejected():
     plan = mc.SimulationPlan(frames=1_000, seed=0)
     with pytest.raises(ValueError):
         mc.estimate_functional(CFG, LINKS, plan, lambda frame: 1.0)
+
+
+def test_functional_shape_error_names_the_block_length():
+    # two blocks of 8192 and 1808 frames; the first block raises at once
+    plan = mc.SimulationPlan(frames=10_000, seed=0)
+    with pytest.raises(ValueError,
+                       match=r"functional returned shape \(8191,\), expected \(8192,\)"):
+        mc.estimate_functional(CFG, LINKS, plan, lambda gains: gains[0][:-1])
+
+
+def test_functional_non_finite_count_spans_the_plan():
+    # ln(1 - s_au) is NaN or -inf wherever s_au >= 1, in both blocks
+    plan = mc.SimulationPlan(frames=10_000, seed=0)
+
+    def bad(gains):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.log(1.0 - gains[0])
+
+    with pytest.raises(ValueError,
+                       match="functional produced 4463 non-finite values over 10000 frames"):
+        mc.estimate_functional(CFG, LINKS, plan, bad)
 
 
 def test_functional_must_stay_finite():

@@ -549,7 +549,7 @@ def test_phi_exponential_case_identity():
     "i,b",
     [(0, 0.1), (2, 1.0), (5, 8.0), (10, 30.0), (25, 137.0), (25, 840.0), (12, 23000.0)],
 )
-def test_phi_closed_vs_quadrature(i, b):
+def test_phi_recurrence_matches_quadrature(i, b):
     # the recurrence on both sides of its anchor against an independent rule
     assert _phi(i, b) == pytest.approx(_phi_quadrature(i, b), rel=5e-8)
 
@@ -557,7 +557,7 @@ def test_phi_closed_vs_quadrature(i, b):
 @pytest.mark.parametrize(
     "b", [0.0, 1e-6, 1e-3, 0.1, 0.63, 0.79, 0.999, 1.0, 1.26, 3.0, 16.0, 137.5,
           300.0, 840.0, 11383.0, 17682.0, 1e6])
-def test_phi_routed_matches_mpmath_oracle(b):
+def test_offset_moments_match_mpmath_oracle(b):
     # e_i = Phi(i, b) / (2^i i!) for i <= 400, past the i = 149 where Phi
     # leaves double range; measured max 1.9e-15 over these offsets
     mp = pytest.importorskip("mpmath")
@@ -671,7 +671,7 @@ def test_log_moment_rejects_inf():
 
 @pytest.mark.parametrize("order", [128, 130, 160, 400])
 @pytest.mark.parametrize("b", [0.0, 0.5, 1000.0])
-def test_log_moment_deep_orders_are_finite_or_signalled(order, b):
+def test_log_moment_deep_orders_match_quadrature(order, b):
     # from R = 128 the Laguerre rule once gave a silent nan, and from R = 150
     # Phi(i, b) left double range and raised; e_i has no such limit
     value = sf.log_moment_ncx2(10.0, b, order=order)

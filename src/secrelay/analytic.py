@@ -31,7 +31,7 @@ import numpy as np
 
 from . import specfun as sf
 from .channel_models import LinkSet
-from .protocol import ProtocolConfig, require_noise
+from .protocol import ProtocolConfig, require_noise, sinr_terms
 
 _NEG_INF = float("-inf")
 
@@ -442,20 +442,18 @@ def _mean_eve_sinr_proxy(
     cfg: ProtocolConfig, links: LinkSet, scale_corrected: bool
 ) -> float:
     """T2: mean-level proxy for the eavesdropper SINR across both phases."""
-    beta, eta = cfg.power_split, cfg.harvester_efficiency
-    zeta, n0 = cfg.processing_noise_ratio, cfg.noise_power
     au, ub, ue = links.au, links.ub, links.ue
     if scale_corrected:
-        g_au, g_ub, g_ue = au.large_scale_gain, ub.large_scale_gain, ue.large_scale_gain
+        # unit-mean gains behind the path losses
+        terms = sinr_terms(cfg, 1.0, 1.0, 1.0, au.large_scale_gain,
+                           ub.large_scale_gain, ue.large_scale_gain)
     else:
         # chi-square means 2K + 2 stand in for the gains, losses dropped
-        g_au, g_ub, g_ue = (2.0 * au.k_factor + 2.0, 2.0 * ub.k_factor + 2.0,
-                            2.0 * ue.k_factor + 2.0)
-    # phase 2 of protocol.sinrs at these gains, its terms and products in
-    # the same order
-    shared = eta * beta * (1.0 - beta)
-    num = shared * cfg.source_power * g_au * g_ue
-    den = (shared * cfg.jamming_power * g_ub * g_ue
-           + (1.0 - beta) * n0
-           + eta * beta * (1.0 - beta + zeta) * n0 * g_ue)
-    return num / den + mean_gamma_eve_phase1(cfg, links)
+        terms = sinr_terms(cfg, 2.0 * au.k_factor + 2.0, 2.0 * ub.k_factor + 2.0,
+                           2.0 * ue.k_factor + 2.0, 1.0, 1.0, 1.0)
+    # phase 2 of protocol.sinrs at these gains: the power-free half above,
+    # then the per-power step of sinrs_from_terms with the residual-epsilon
+    # term left out, as T1 leaves it out
+    phase2 = (cfg.source_power * terms.num2
+              / (cfg.jamming_power * terms.jam2 + terms.den2))
+    return phase2 + mean_gamma_eve_phase1(cfg, links)

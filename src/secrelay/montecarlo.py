@@ -10,7 +10,9 @@ numbers), so each block's normals are drawn once per process and kept in a
 small bounded cache; later calls on the same (seed, block) read them back.
 Beside the normals, each cached block keeps the per-link gains of the last
 link set evaluated on it, so consecutive calls on one link set transform
-the normals once.
+the normals once, and the power-free half of its SINRs (protocol.sinr_terms)
+at the last (beta, eta, zeta, N0) evaluated on those gains, so calls that
+change only the two transmit powers pay only for the powers.
 """
 
 from __future__ import annotations
@@ -28,24 +30,30 @@ from .protocol import ProtocolConfig, require_noise, secrecy_rate
 
 BLOCK_FRAMES = 8192
 
-# Blocks kept by the draw cache: 16 x 8192 frames x (10 normals + 5 gains)
-# x 8 bytes is about 15.7 MB, enough for the 13 blocks of the default
+# Blocks kept by the draw cache: 16 x 8192 frames x (10 normals + 5 gains
+# + 4 power-free SINR terms) x 8 bytes is about 19.9 MB (one more term with
+# the residual-epsilon term on), enough for the 13 blocks of the default
 # 100k-frame plan.
 CACHE_BLOCKS = 16
 
 
 @dataclass
 class _Block:
-    """One cached block: its normals and the gains of the last link set.
+    """One cached block: its normals, the gains of the last link set and
+    the power-free SINR terms of the last configuration on those gains.
 
     z is read-only, of shape (length, 5, 2). gains holds five read-only
     length-n arrays in (au, ub, ue, ae, be) order, computed from z for the
-    amplitude parameters whose bytes are link_key.
+    amplitude parameters whose bytes are link_key. terms is the
+    protocol.sinr_terms of those gains, read-only, for the link_key,
+    large-scale gains and configuration in terms_key (_terms_key).
     """
 
     z: np.ndarray
     link_key: bytes = b""
     gains: tuple = ()
+    terms_key: tuple = ()
+    terms: tuple = ()
 
 
 # (seed, block index, length) -> _Block, least recently used first. The
@@ -102,7 +110,8 @@ def _spans(frames: int):
 
 
 def clear_block_cache() -> None:
-    """Drop every cached block and its gains; the next estimate draws again."""
+    """Drop every cached block, its gains and its SINR terms; the next
+    estimate draws again."""
     with _cache_lock:
         _cache.clear()
 
@@ -124,24 +133,57 @@ def _link_arrays(links: LinkSet):
 
 def _gains(block: _Block, mu: np.ndarray, sigma: np.ndarray,
            link_key: bytes) -> tuple:
-    """The block's gains for (mu, sigma), computed only on a new link set."""
+    """The block's gains for (mu, sigma), computed only on a new link set.
+    New gains drop the old gains' terms at once, to free their memory."""
     if block.link_key != link_key:
         gains = tuple(_kernels.power_gains(block.z, mu, sigma))
         for g in gains:
             g.flags.writeable = False
         block.link_key, block.gains = link_key, gains
+        block.terms_key, block.terms = (), ()
     return block.gains
 
 
-def _blocks(plan: SimulationPlan, spans, links: LinkSet) -> list[tuple]:
-    """The per-link gains of each span, drawing only the blocks not cached.
+def _terms_key(link_key: bytes, cfg: ProtocolConfig, links: LinkSet) -> tuple:
+    """Everything _kernels.sinr_terms reads: the gains, through their
+    link_key, and the rest of cfg and links it uses."""
+    return (link_key, links.au.large_scale_gain, links.ub.large_scale_gain,
+            links.ue.large_scale_gain, cfg.power_split,
+            cfg.harvester_efficiency, cfg.processing_noise_ratio,
+            cfg.noise_power, cfg.include_residual_epsilon)
+
+
+def _terms(block: _Block, gains: tuple, cfg: ProtocolConfig, links: LinkSet,
+           terms_key: tuple) -> tuple:
+    """The SINR terms of the block's gains at cfg, computed under the cache
+    lock only when the block holds none for terms_key.
+
+    terms_key starts with the gains' link_key, so terms made from gains that
+    another caller has since replaced never pass for the new gains' terms.
+    """
+    with _cache_lock:
+        if block.terms_key != terms_key:
+            # drop the old terms first, so old and new are never held at once
+            block.terms_key, block.terms = (), ()
+            terms = _kernels.sinr_terms(gains, cfg, links)
+            for t in terms:
+                if t is not None:
+                    t.flags.writeable = False
+            block.terms_key, block.terms = terms_key, terms
+        return block.terms
+
+
+def _blocks(plan: SimulationPlan, spans, mu: np.ndarray, sigma: np.ndarray,
+            link_key: bytes) -> list[tuple]:
+    """(block, its per-link gains) of each span, drawing only the blocks not
+    cached.
 
     Missing blocks are drawn, and gains for a link set other than the one a
     block last saw are computed, on the calling thread under the cache lock,
-    so concurrent callers that miss the same block draw it once.
+    so concurrent callers that miss the same block draw it once. A caller
+    keeps the arrays it was handed even if another caller then replaces
+    them in the cache.
     """
-    mu, sigma = _link_arrays(links)
-    link_key = mu.tobytes() + sigma.tobytes()
     keys = [(plan.seed, index, length) for index, length in spans]
     with _cache_lock:
         for key in keys:
@@ -154,18 +196,29 @@ def _blocks(plan: SimulationPlan, spans, links: LinkSet) -> list[tuple]:
             _cache.popitem(last=False)
         for key in missing:
             _cache[key] = _draw(key)
-        return [_gains(_cache[key], mu, sigma, link_key) for key in keys]
+        return [(_cache[key], _gains(_cache[key], mu, sigma, link_key))
+                for key in keys]
 
 
-def _gain_blocks(plan: SimulationPlan, links: LinkSet):
-    """Each block's gains, in block order, on the calling thread.
+def _gain_blocks(plan: SimulationPlan, links: LinkSet, cfg: ProtocolConfig):
+    """Each block's gains and their SINR terms at cfg, in block order, on
+    the calling thread.
 
     Plans longer than the cache go in chunks of CACHE_BLOCKS, so no block is
-    drawn twice per call and memory stays bounded.
+    drawn twice per call and memory stays bounded. A block's terms are
+    looked up, or made, just before the block is reduced: made for a whole
+    13-block chunk first, they had left the processor cache by the time the
+    kernel read them, and a call that missed them all took twice as long in
+    the kernel.
     """
+    mu, sigma = _link_arrays(links)
+    link_key = mu.tobytes() + sigma.tobytes()
+    terms_key = _terms_key(link_key, cfg, links)
     spans = _spans(plan.frames)
     for start in range(0, len(spans), CACHE_BLOCKS):
-        yield from _blocks(plan, spans[start:start + CACHE_BLOCKS], links)
+        chunk = spans[start:start + CACHE_BLOCKS]
+        for block, gains in _blocks(plan, chunk, mu, sigma, link_key):
+            yield gains, _terms(block, gains, cfg, links, terms_key)
 
 
 def _nonfinite(values: np.ndarray) -> int:
@@ -190,7 +243,8 @@ def _estimate(cfg: ProtocolConfig, links: LinkSet, plan: SimulationPlan,
     """Mean over the plan of the per-frame values(gains, sinrs): the one
     per-block path behind every estimator.
 
-    Each block's SINRs are computed once, at cfg's powers, as the list
+    Each block's SINRs are computed once, at cfg's powers from its cached
+    power-free terms, as the list
     [gamma_m, gamma_e], gamma_e the better of the eavesdropper's two. A
     frame where gamma_m + gamma_e is not finite is refused: from then on no
     block is reduced, and NonFiniteSinrError gives the count over the whole
@@ -204,8 +258,9 @@ def _estimate(cfg: ProtocolConfig, links: LinkSet, plan: SimulationPlan,
     require_noise(cfg)
     total = total_sq = 0.0
     refused = bad = 0
-    for gains in _gain_blocks(plan, links):
-        gamma_m, gamma_1, gamma_2 = _kernels.frame_metrics(gains, cfg, links)
+    for gains, terms in _gain_blocks(plan, links, cfg):
+        gamma_m, gamma_1, gamma_2 = _kernels.frame_metrics(gains, cfg, links,
+                                                           terms)
         sinrs = [gamma_m, np.maximum(gamma_1, gamma_2)]
         del gamma_m, gamma_1, gamma_2  # so that emptying sinrs frees them
         refused += _nonfinite(sinrs[0] + sinrs[1])

@@ -69,25 +69,23 @@ class SinrConstants(NamedTuple):
 def sinr_constants(cfg: pr.ProtocolConfig, links: cm.LinkSet,
                    s_au, s_ub, s_ue, s_ae, s_be) -> SinrConstants:
     """Reparametrize the SINRs of frames with the given gains as rational
-    functions of the allocation."""
-    x = s_au * links.au.large_scale_gain
-    y = s_ub * links.ub.large_scale_gain
-    z = s_ue * links.ue.large_scale_gain
+    functions of the allocation.
+
+    The relayed-path constants come from protocol.sinr_terms, the power-free
+    half of the SINRs, at the total power; the residual-epsilon term is left
+    out.
+    """
+    terms = pr.sinr_terms(cfg, s_au, s_ub, s_ue, links.au.large_scale_gain,
+                          links.ub.large_scale_gain, links.ue.large_scale_gain)
     v = s_ae * links.ae.large_scale_gain
     w = s_be * links.be.large_scale_gain
     p, n0 = cfg.total_power, cfg.noise_power
-    eta, beta = cfg.harvester_efficiency, cfg.power_split
-    shared = eta * beta * (1.0 - beta)
-    den_main = eta * beta * (1.0 - beta + cfg.processing_noise_ratio) * y * n0 \
-        + (1.0 - beta) * n0
-    den_eve2 = eta * beta * (1.0 - beta + cfg.processing_noise_ratio) * z * n0 \
-        + (1.0 - beta) * n0
     return SinrConstants(
-        c1=shared * p * x * y / den_main,
+        c1=p * terms.main,
         c2=p * v / n0,
         c3=p * w / n0,
-        c4=shared * p * x * z / den_eve2,
-        c5=shared * p * y * z / den_eve2,
+        c4=p * terms.num2 / terms.den2,
+        c5=p * terms.jam2 / terms.den2,
     )
 
 
@@ -302,7 +300,9 @@ def grid_search_opsa(cfg_template: pr.ProtocolConfig, links: cm.LinkSet,
     """Joint (allocation, split) search of a Monte Carlo metric surface.
 
     Every cell reuses the same plan, so the whole surface shares one set of
-    channel draws and the argmax is deterministic given (seed, grid).
+    channel draws and the argmax is deterministic given (seed, grid). The
+    cells are visited split by split, so the allocations of one split reuse
+    the power-free SINR terms the engine caches per block and split.
     """
     if objective not in _OBJECTIVES:
         raise ValueError(f"objective must be one of {sorted(_OBJECTIVES)}, "
@@ -313,8 +313,8 @@ def grid_search_opsa(cfg_template: pr.ProtocolConfig, links: cm.LinkSet,
     splits = np.asarray(grid.split_grid)
     surface = np.empty((allocations.size, splits.size))
     se_surface = np.empty_like(surface)
-    for i, allocation in enumerate(allocations):
-        for j, split in enumerate(splits):
+    for j, split in enumerate(splits):
+        for i, allocation in enumerate(allocations):
             cfg = replace(cfg_template, allocation=float(allocation),
                           power_split=float(split))
             est = estimator(cfg, links, plan)

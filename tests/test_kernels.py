@@ -30,7 +30,8 @@ def link_arrays():
 
 def run_kernel(z, cfg):
     mu, sigma = link_arrays()
-    return kr.frame_metrics(kr.power_gains(z, mu, sigma), cfg, LINKS)
+    gains = kr.power_gains(z, mu, sigma)
+    return kr.frame_metrics(gains, cfg, LINKS, kr.sinr_terms(gains, cfg, LINKS))
 
 
 # ---------------------------------------------------------------------------
@@ -71,3 +72,24 @@ def test_numpy_kernel_equals_protocol(residual):
                                 include_residual_epsilon=residual)
         for got, want in zip(run_kernel(z, cfg), frame_sinrs(cfg, frame, LINKS)):
             np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("residual", [False, True])
+def test_sinr_terms_do_not_depend_on_the_powers(residual):
+    # the engine keeps a block's sinr_terms across calls that change only
+    # the allocation or the total power, so terms made at one pair of
+    # powers must give every other pair's SINRs bit for bit
+    z = np.random.default_rng(3).standard_normal((1024, 5, 2))
+    mu, sigma = link_arrays()
+    gains = kr.power_gains(z, mu, sigma)
+    for beta in (0.0, 0.3, 1.0):
+        cfg = pr.ProtocolConfig(total_power=100.0, power_split=beta,
+                                include_residual_epsilon=residual)
+        terms = kr.sinr_terms(gains, cfg, LINKS)
+        for power, allocation in ((100.0, 0.2), (3e4, 0.9), (7.0, 1.0)):
+            other = pr.ProtocolConfig(total_power=power, allocation=allocation,
+                                      power_split=beta,
+                                      include_residual_epsilon=residual)
+            for got, want in zip(kr.frame_metrics(gains, other, LINKS, terms),
+                                 frame_sinrs(other, gains, LINKS)):
+                np.testing.assert_array_equal(got, want)

@@ -409,6 +409,11 @@ def test_cached_blocks_are_read_only(draws):
     for gains in block.gains:
         with pytest.raises(ValueError):
             gains[0] = 0.0
+    terms = [term for term in block.terms if term is not None]
+    assert len(terms) == 4
+    for term in terms:
+        with pytest.raises(ValueError):
+            term[0] = 0.0
 
 
 @pytest.fixture
@@ -468,6 +473,142 @@ def test_clear_block_cache_drops_the_gains(gain_calls):
     assert not mc._cache
     mc.estimate_cp(CFG, LINKS, plan)
     assert sum(gain_calls.values()) == 2
+
+
+@pytest.fixture
+def terms_calls(monkeypatch):
+    """Count _kernels.sinr_terms calls per (block length, split), starting
+    from no cache."""
+    mc.clear_block_cache()
+    calls = Counter()
+    original = _kernels.sinr_terms
+
+    def counting(gains, cfg, links):
+        calls[(len(gains[0]), cfg.power_split)] += 1
+        return original(gains, cfg, links)
+
+    monkeypatch.setattr(_kernels, "sinr_terms", counting)
+    yield calls
+    mc.clear_block_cache()
+
+
+def test_grid_search_computes_terms_once_per_block_and_split(terms_calls):
+    # blocks of 8192, 8192 and 100 frames, 5 splits x 5 allocations: the
+    # power-free SINR terms are made 15 times, not once per cell and block
+    plan = mc.SimulationPlan(frames=2 * mc.BLOCK_FRAMES + 100, seed=57)
+    axis = tuple(np.linspace(0.1, 0.9, 5))
+    opt.grid_search_opsa(CFG, LINKS, plan,
+                         opt.SweepGrid(allocation_grid=axis, split_grid=axis))
+    assert sum(terms_calls.values()) == 15
+    assert terms_calls == {key: count for split in axis for key, count in
+                           (((mc.BLOCK_FRAMES, split), 2), ((100, split), 1))}
+
+
+def test_placement_sweep_computes_terms_once_per_block_and_position(terms_calls):
+    # every estimator of a position runs at cfg's split on that position's
+    # links, the allocation policy's SINR check included
+    plan = mc.SimulationPlan(frames=mc.BLOCK_FRAMES + 100, seed=58)
+    grid = opt.SweepGrid(allocation_grid=(0.3, 0.6, 0.9),
+                         distance_grid=(0.2, 0.5, 0.8))
+    opt.placement_sweep(CFG, GEOM, plan, "horizontal", grid)
+    assert terms_calls == {(mc.BLOCK_FRAMES, 0.5): 3, (100, 0.5): 3}
+
+
+def scaled_link(name, k_factor=1.0, loss=1.0):
+    """LINKS with one link's K factor and large-scale gain scaled."""
+    link = getattr(LINKS, name)
+    return cm.LinkSet(**{
+        n: getattr(LINKS, n) for n in cm.LINK_IDS if n != name
+    }, **{name: cm.LinkModel(name, k_factor * link.k_factor,
+                             loss * link.large_scale_gain)})
+
+
+# each changes one input of the cached SINR terms: a key field or the gains
+TERMS_KEY_VARIANTS = {
+    "split": (pr.ProtocolConfig(total_power=100.0, power_split=0.6), LINKS),
+    "efficiency": (pr.ProtocolConfig(total_power=100.0,
+                                     harvester_efficiency=0.5), LINKS),
+    "processing_noise": (pr.ProtocolConfig(total_power=100.0,
+                                           processing_noise_ratio=1.0), LINKS),
+    "noise": (pr.ProtocolConfig(total_power=100.0, noise_power=2e-2), LINKS),
+    "residual": (pr.ProtocolConfig(total_power=100.0,
+                                   include_residual_epsilon=True), LINKS),
+    "au_loss": (CFG, scaled_link("au", loss=2.0)),
+    "ub_loss": (CFG, scaled_link("ub", loss=2.0)),
+    "ue_loss": (CFG, scaled_link("ue", loss=2.0)),
+    # new gains under the same large-scale gains and configuration
+    "au_rice_factor": (CFG, scaled_link("au", k_factor=2.0)),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(TERMS_KEY_VARIANTS))
+def test_cached_terms_follow_every_input_they_read(variant):
+    cfg, links = TERMS_KEY_VARIANTS[variant]
+    plan = mc.SimulationPlan(frames=mc.BLOCK_FRAMES + 100, seed=59)
+    mc.clear_block_cache()
+    base = mc.estimate_asr(CFG, LINKS, plan)
+    warm = mc.estimate_asr(cfg, links, plan)
+    mc.clear_block_cache()
+    cold = mc.estimate_asr(cfg, links, plan)
+    mc.clear_block_cache()
+    assert warm == cold
+    assert cold.mean != base.mean
+
+
+def test_terms_of_replaced_gains_never_pass_for_the_new_gains():
+    # caller A fetches the gains of one link set, caller B moves the block
+    # to a link set with the same large-scale gains and other K factors,
+    # then A makes and stores the terms of its own gains
+    plan = mc.SimulationPlan(frames=1000, seed=63)
+    spans = mc._spans(plan.frames)
+    moved = scaled_link("au", k_factor=2.0)
+    mc.clear_block_cache()
+    mu, sigma = mc._link_arrays(LINKS)
+    link_key = mu.tobytes() + sigma.tobytes()
+    [(block, gains)] = mc._blocks(plan, spans, mu, sigma, link_key)
+    mu_b, sigma_b = mc._link_arrays(moved)
+    mc._blocks(plan, spans, mu_b, sigma_b, mu_b.tobytes() + sigma_b.tobytes())
+    terms = mc._terms(block, gains, CFG, LINKS,
+                      mc._terms_key(link_key, CFG, LINKS))
+    for got, want in zip(terms, _kernels.sinr_terms(gains, CFG, LINKS)):
+        np.testing.assert_array_equal(got, want)
+    warm = mc.estimate_asr(CFG, moved, plan)
+    mc.clear_block_cache()
+    assert warm == mc.estimate_asr(CFG, moved, plan)
+    mc.clear_block_cache()
+
+
+def test_threads_alternating_splits_keep_their_own_terms():
+    # two callers on the same blocks replace each other's cached terms
+    # between lookups; each must still reduce the terms it was handed
+    plan = mc.SimulationPlan(frames=mc.BLOCK_FRAMES + 100, seed=62)
+    cfgs = [pr.ProtocolConfig(total_power=100.0, power_split=split)
+            for split in (0.3, 0.7)]
+    mc.clear_block_cache()
+    want = [mc.estimate_asr(cfg, LINKS, plan) for cfg in cfgs]
+    got = [[], []]
+
+    def run(k):
+        for i in range(12):
+            which = (k + i) % 2
+            got[k].append((which, mc.estimate_asr(cfgs[which], LINKS, plan)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    mc.clear_block_cache()
+    assert not any(t.is_alive() for t in threads)
+    assert [len(results) for results in got] == [12, 12]
+    for results in got:
+        for which, estimate in results:
+            assert estimate == want[which]
 
 
 def test_functional_gets_read_only_gains():

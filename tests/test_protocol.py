@@ -407,3 +407,18 @@ def test_secrecy_rate_clamps_an_infinite_eavesdropper_sinr():
     # the one non-finite input that gives a finite rate; estimate_asr counts
     # such frames through the SINRs instead
     assert pr.secrecy_rate(np.array([1.0]), np.array([np.inf])).tolist() == [0.0]
+
+
+@pytest.mark.parametrize("gm, ge", [
+    (1e12 * (1.0 + 1e-12), 1e12),
+    (1e8 * (1.0 + 1e-9), 1e8),
+])
+def test_secrecy_rate_keeps_the_digits_of_near_equal_sinrs(gm, ge):
+    # the difference of two capacities near 0.5*log2(1e12) cancels all but
+    # a few digits of a rate of about 7e-13; the one-log form keeps them
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        want = mp.log((1 + mp.mpf(gm)) / (1 + mp.mpf(ge))) / (2 * mp.log(2))
+    for rate in (pr.secrecy_rate(gm, ge),
+                 pr.secrecy_rate(np.array([gm]), np.array([ge]))[0]):
+        assert abs(rate - float(want)) <= 1e-14 * float(want)

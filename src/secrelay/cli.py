@@ -249,16 +249,19 @@ def _sweep_altitude(cfg: ExperimentConfig):
     protocol = cfg.effective_protocol()
     grid = opt.SweepGrid()
     header = ["altitude", "power_split", "asr_mc", "asr_se", "frames", "seed"]
-    rows = []
-    for split in ALTITUDE_SPLIT_GRID:
-        cfg_b = replace(protocol, power_split=split)
-        for altitude in grid.altitude_grid:
-            links_h = cm.build_links(geo.move_relay(geometry, altitude=altitude),
-                                     cfg.environment)
-            est = mc.estimate_asr(cfg_b, links_h, cfg.plan)
-            rows.append([altitude, split, est.mean, est.std_error,
-                         cfg.plan.frames, cfg.plan.seed])
-    return header, rows
+    # altitude-major, so each altitude's link set is built once and the
+    # engine transforms each block for it once; rows stay split-major
+    rows = {}
+    for altitude in grid.altitude_grid:
+        links_h = cm.build_links(geo.move_relay(geometry, altitude=altitude),
+                                 cfg.environment)
+        for split in ALTITUDE_SPLIT_GRID:
+            est = mc.estimate_asr(replace(protocol, power_split=split),
+                                  links_h, cfg.plan)
+            rows[split, altitude] = [altitude, split, est.mean, est.std_error,
+                                     cfg.plan.frames, cfg.plan.seed]
+    return header, [rows[split, altitude] for split in ALTITUDE_SPLIT_GRID
+                    for altitude in grid.altitude_grid]
 
 
 def cmd_sweep(cfg: ExperimentConfig, kind: str, powers: tuple[float, ...],

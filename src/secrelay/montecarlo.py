@@ -12,7 +12,10 @@ Beside the normals, each cached block keeps the per-link gains of the last
 link set evaluated on it, so consecutive calls on one link set transform
 the normals once, and the power-free half of its SINRs (protocol.sinr_terms)
 at the last (beta, eta, zeta, N0) evaluated on those gains, so calls that
-change only the two transmit powers pay only for the powers.
+change only the two transmit powers pay only for the powers. An estimate
+fetches its blocks one at a time, just before each is reduced: one locked
+step draws the block, or finds it, and makes whatever of its gains and
+terms the call needs.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ BLOCK_FRAMES = 8192
 # Blocks kept by the draw cache: 16 x 8192 frames x (10 normals + 5 gains
 # + 4 power-free SINR terms) x 8 bytes is about 19.9 MB (one more term with
 # the residual-epsilon term on), enough for the 13 blocks of the default
-# 100k-frame plan.
+# 100k-frame plan. A longer plan evicts its own earliest blocks as it goes,
+# so repeated calls on it draw every block again.
 CACHE_BLOCKS = 16
 
 
@@ -116,32 +120,12 @@ def clear_block_cache() -> None:
         _cache.clear()
 
 
-def _draw(key: tuple[int, int, int]) -> _Block:
-    seed, index, length = key
-    z = block_stream(seed, index).standard_normal((length, 5, 2))
-    z.flags.writeable = False
-    return _Block(z)
-
-
 def _link_arrays(links: LinkSet):
     mu = np.empty(5)
     sigma = np.empty(5)
     for j, link in enumerate(links.ordered()):
         mu[j], sigma[j] = amplitude_params(link.k_factor)
     return mu, sigma
-
-
-def _gains(block: _Block, mu: np.ndarray, sigma: np.ndarray,
-           link_key: bytes) -> tuple:
-    """The block's gains for (mu, sigma), computed only on a new link set.
-    New gains drop the old gains' terms at once, to free their memory."""
-    if block.link_key != link_key:
-        gains = tuple(_kernels.power_gains(block.z, mu, sigma))
-        for g in gains:
-            g.flags.writeable = False
-        block.link_key, block.gains = link_key, gains
-        block.terms_key, block.terms = (), ()
-    return block.gains
 
 
 def _terms_key(link_key: bytes, cfg: ProtocolConfig, links: LinkSet) -> tuple:
@@ -153,72 +137,68 @@ def _terms_key(link_key: bytes, cfg: ProtocolConfig, links: LinkSet) -> tuple:
             cfg.noise_power, cfg.include_residual_epsilon)
 
 
-def _terms(block: _Block, gains: tuple, cfg: ProtocolConfig, links: LinkSet,
-           terms_key: tuple) -> tuple:
-    """The SINR terms of the block's gains at cfg, computed under the cache
-    lock only when the block holds none for terms_key.
+def _block(key: tuple[int, int, int], mu: np.ndarray, sigma: np.ndarray,
+           cfg: ProtocolConfig, links: LinkSet, terms_key: tuple) -> tuple:
+    """(gains, SINR terms) of the block with this (seed, index, length) key,
+    for the amplitude parameters (mu, sigma) and for terms_key, whose first
+    field is their link_key; all read-only.
 
-    terms_key starts with the gains' link_key, so terms made from gains that
-    another caller has since replaced never pass for the new gains' terms.
+    One step under the cache lock looks the block up or draws it, then makes
+    its gains on a new link set and its terms on a new terms_key, so
+    concurrent callers that miss the same block draw it once, and terms are
+    only ever stored beside the gains they were made from. A caller keeps
+    the arrays it was handed even if another caller then replaces them in
+    the cache.
     """
+    link_key = terms_key[0]
     with _cache_lock:
-        if block.terms_key != terms_key:
-            # drop the old terms first, so old and new are never held at once
+        block = _cache.get(key)
+        if block is None:
+            # evict the least recently used before drawing, so old and new
+            # blocks never exceed the bound
+            while len(_cache) >= CACHE_BLOCKS:
+                _cache.popitem(last=False)
+            seed, index, length = key
+            z = block_stream(seed, index).standard_normal((length, 5, 2))
+            z.flags.writeable = False
+            block = _cache[key] = _Block(z)
+        else:
+            _cache.move_to_end(key)
+        # each renewal drops the old arrays first, so old and new are never
+        # held at once
+        if block.link_key != link_key:
+            block.link_key, block.gains = b"", ()
             block.terms_key, block.terms = (), ()
-            terms = _kernels.sinr_terms(gains, cfg, links)
+            gains = tuple(_kernels.power_gains(block.z, mu, sigma))
+            for g in gains:
+                g.flags.writeable = False
+            block.link_key, block.gains = link_key, gains
+        if block.terms_key != terms_key:
+            block.terms_key, block.terms = (), ()
+            terms = _kernels.sinr_terms(block.gains, cfg, links)
             for t in terms:
                 if t is not None:
                     t.flags.writeable = False
             block.terms_key, block.terms = terms_key, terms
-        return block.terms
-
-
-def _blocks(plan: SimulationPlan, spans, mu: np.ndarray, sigma: np.ndarray,
-            link_key: bytes) -> list[tuple]:
-    """(block, its per-link gains) of each span, drawing only the blocks not
-    cached.
-
-    Missing blocks are drawn, and gains for a link set other than the one a
-    block last saw are computed, on the calling thread under the cache lock,
-    so concurrent callers that miss the same block draw it once. A caller
-    keeps the arrays it was handed even if another caller then replaces
-    them in the cache.
-    """
-    keys = [(plan.seed, index, length) for index, length in spans]
-    with _cache_lock:
-        for key in keys:
-            if key in _cache:
-                _cache.move_to_end(key)
-        missing = [key for key in keys if key not in _cache]
-        # evict the least recently used before drawing, so old and new
-        # blocks never exceed the bound
-        while _cache and len(_cache) + len(missing) > CACHE_BLOCKS:
-            _cache.popitem(last=False)
-        for key in missing:
-            _cache[key] = _draw(key)
-        return [(_cache[key], _gains(_cache[key], mu, sigma, link_key))
-                for key in keys]
+        return block.gains, block.terms
 
 
 def _gain_blocks(plan: SimulationPlan, links: LinkSet, cfg: ProtocolConfig):
     """Each block's gains and their SINR terms at cfg, in block order, on
     the calling thread.
 
-    Plans longer than the cache go in chunks of CACHE_BLOCKS, so no block is
-    drawn twice per call and memory stays bounded. A block's terms are
-    looked up, or made, just before the block is reduced: made for a whole
-    13-block chunk first, they had left the processor cache by the time the
-    kernel read them, and a call that missed them all took twice as long in
-    the kernel.
+    A block is fetched, or made, only when the caller asks for it, just
+    before the block is reduced: so each block is drawn at most once per
+    call however long the plan, and its arrays are still in the processor
+    cache when the kernel reads them. Made for a whole 13-block plan first,
+    the terms had left that cache, and a call that missed them all took
+    twice as long in the kernel.
     """
     mu, sigma = _link_arrays(links)
-    link_key = mu.tobytes() + sigma.tobytes()
-    terms_key = _terms_key(link_key, cfg, links)
-    spans = _spans(plan.frames)
-    for start in range(0, len(spans), CACHE_BLOCKS):
-        chunk = spans[start:start + CACHE_BLOCKS]
-        for block, gains in _blocks(plan, chunk, mu, sigma, link_key):
-            yield gains, _terms(block, gains, cfg, links, terms_key)
+    terms_key = _terms_key(mu.tobytes() + sigma.tobytes(), cfg, links)
+    for index, length in _spans(plan.frames):
+        yield _block((plan.seed, index, length), mu, sigma, cfg, links,
+                     terms_key)
 
 
 def _nonfinite(values: np.ndarray) -> int:

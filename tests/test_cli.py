@@ -10,6 +10,7 @@ import resource
 import numpy as np
 import pytest
 
+from secrelay import _kernels
 from secrelay import analytic as an
 from secrelay import channel_models as cm
 from secrelay import cli
@@ -365,6 +366,34 @@ def test_altitude_sweep_iterates_splits(tmp_path):
     assert len(lines) == 1 + 16 * 4
     splits = {line.split(",")[1] for line in lines[1:]}
     assert splits == {"0.25", "0.5", "0.75", "0.9"}
+
+
+def test_altitude_sweep_builds_and_transforms_each_link_set_once(tmp_path,
+                                                                 monkeypatch):
+    calls = {"build_links": 0, "power_gains": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(cm, "build_links", counted("build_links",
+                                                   cm.build_links))
+    monkeypatch.setattr(_kernels, "power_gains", counted("power_gains",
+                                                         _kernels.power_gains))
+    mc.clear_block_cache()
+    try:
+        # two blocks, 16 altitudes, 4 splits each
+        code = run(["sweep", "altitude", "--frames",
+                    str(mc.BLOCK_FRAMES + 100), "--out", str(tmp_path)])
+    finally:
+        mc.clear_block_cache()
+    assert code == 0
+    altitudes = len(opt.SweepGrid().altitude_grid)
+    # plus the configuration's own link set, built twice on the way in
+    assert calls == {"build_links": altitudes + 2,
+                     "power_gains": 2 * altitudes}
 
 
 @pytest.mark.parametrize("flags,pinned", [

@@ -400,6 +400,56 @@ def test_plan_longer_than_cache_draws_each_block_once_per_call(draws):
     assert first == again == fresh
 
 
+def test_cache_stays_bounded_during_a_long_call(draws, monkeypatch):
+    plan_blocks = mc.CACHE_BLOCKS + 2
+    plan = mc.SimulationPlan(frames=plan_blocks * mc.BLOCK_FRAMES, seed=64)
+    held = []
+    counting = mc.block_stream
+
+    def recording(seed, index):
+        held.append(len(mc._cache))
+        return counting(seed, index)
+
+    monkeypatch.setattr(mc, "block_stream", recording)
+    mc.estimate_asr(CFG, LINKS, plan)
+    assert draws == {(64, i): 1 for i in range(plan_blocks)}
+    # the block being drawn joins the ones held
+    assert len(held) == plan_blocks
+    assert max(held) + 1 <= mc.CACHE_BLOCKS
+
+
+def test_each_block_is_drawn_and_made_just_before_the_next(monkeypatch):
+    # blocks of 8192 and 100 frames, told apart by their lengths
+    plan = mc.SimulationPlan(frames=mc.BLOCK_FRAMES + 100, seed=65)
+    index_of = {mc.BLOCK_FRAMES: 0, 100: 1}
+    events = []
+    draw, gains_of, terms_of = (mc.block_stream, _kernels.power_gains,
+                                _kernels.sinr_terms)
+
+    def drawing(seed, index):
+        events.append(("draw", index))
+        return draw(seed, index)
+
+    def transforming(z, mu, sigma):
+        events.append(("gains", index_of[len(z)]))
+        return gains_of(z, mu, sigma)
+
+    def making(gains, cfg, links):
+        events.append(("terms", index_of[len(gains[0])]))
+        return terms_of(gains, cfg, links)
+
+    monkeypatch.setattr(mc, "block_stream", drawing)
+    monkeypatch.setattr(_kernels, "power_gains", transforming)
+    monkeypatch.setattr(_kernels, "sinr_terms", making)
+    mc.clear_block_cache()
+    try:
+        mc.estimate_asr(CFG, LINKS, plan)
+    finally:
+        mc.clear_block_cache()
+    assert events == [(step, i) for i in (0, 1)
+                      for step in ("draw", "gains", "terms")]
+
+
 def test_cached_blocks_are_read_only(draws):
     mc.estimate_cp(CFG, LINKS, mc.SimulationPlan(frames=3_000, seed=44))
     (block,) = mc._cache.values()
@@ -556,22 +606,23 @@ def test_cached_terms_follow_every_input_they_read(variant):
 
 
 def test_terms_of_replaced_gains_never_pass_for_the_new_gains():
-    # caller A fetches the gains of one link set, caller B moves the block
-    # to a link set with the same large-scale gains and other K factors,
-    # then A makes and stores the terms of its own gains
+    # a block fetched for one link set, then moved to a link set with the
+    # same large-scale gains and other K factors: each fetch must hand back
+    # the terms of the gains it hands back
     plan = mc.SimulationPlan(frames=1000, seed=63)
-    spans = mc._spans(plan.frames)
+    [(index, length)] = mc._spans(plan.frames)
     moved = scaled_link("au", k_factor=2.0)
     mc.clear_block_cache()
-    mu, sigma = mc._link_arrays(LINKS)
-    link_key = mu.tobytes() + sigma.tobytes()
-    [(block, gains)] = mc._blocks(plan, spans, mu, sigma, link_key)
-    mu_b, sigma_b = mc._link_arrays(moved)
-    mc._blocks(plan, spans, mu_b, sigma_b, mu_b.tobytes() + sigma_b.tobytes())
-    terms = mc._terms(block, gains, CFG, LINKS,
-                      mc._terms_key(link_key, CFG, LINKS))
-    for got, want in zip(terms, _kernels.sinr_terms(gains, CFG, LINKS)):
-        np.testing.assert_array_equal(got, want)
+    fetched = []
+    for links in (LINKS, moved):
+        mu, sigma = mc._link_arrays(links)
+        terms_key = mc._terms_key(mu.tobytes() + sigma.tobytes(), CFG, links)
+        gains, terms = mc._block((plan.seed, index, length), mu, sigma, CFG,
+                                 links, terms_key)
+        fetched.append(gains[0])
+        for got, want in zip(terms, _kernels.sinr_terms(gains, CFG, links)):
+            np.testing.assert_array_equal(got, want)
+    assert not np.array_equal(*fetched)
     warm = mc.estimate_asr(CFG, moved, plan)
     mc.clear_block_cache()
     assert warm == mc.estimate_asr(CFG, moved, plan)

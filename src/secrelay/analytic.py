@@ -135,20 +135,6 @@ def _require_finite_constants(label: str, **constants: float) -> None:
             raise sf.SeriesOverflowError(f"{label} series: {name} is {value}")
 
 
-def _row_logsumexp(terms: np.ndarray) -> np.ndarray:
-    """ln sum_j exp(terms[i, j]) for every row i; an all -inf row gives -inf.
-
-    Each row is reduced as sf.logsumexp reduces a 1-D array: the same shift,
-    the same pairwise sum over a row of the same length, math.log of the
-    total (numpy's vectorized log may differ from libm in the last bit).
-    """
-    m = np.max(terms, axis=1)
-    shift = np.where(m == _NEG_INF, 0.0, m)
-    totals = np.sum(np.exp(terms - shift[:, None]), axis=1)
-    return shift + np.array([math.log(t) if t > 0.0 else _NEG_INF
-                             for t in totals.tolist()])
-
-
 def _log_convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """z[u] = ln sum_{i + j = u} exp(x[i] + y[j]) for u < len(x) = len(y).
 
@@ -157,7 +143,7 @@ def _log_convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """
     k = np.arange(x.size)
     lag = k[:, None] - k
-    return _row_logsumexp(np.where(lag >= 0, x + y[lag], _NEG_INF))
+    return sf.row_logsumexp(np.where(lag >= 0, x + y[lag], _NEG_INF))
 
 
 def _log_nested_sum(outer: np.ndarray, inner: np.ndarray, label: str) -> float:
@@ -193,7 +179,7 @@ def _bessel_inner_logsums(
     bad_rows = np.any(np.isnan(terms) | np.isposinf(terms), axis=1)
     if np.any(bad_rows):
         _require_in_range(terms[depth - np.argmax(bad_rows[::-1])], label)
-    return _row_logsumexp(terms)
+    return sf.row_logsumexp(terms)
 
 
 def _require_interior_split(cfg: ProtocolConfig) -> None:

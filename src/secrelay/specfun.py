@@ -8,7 +8,8 @@ double precision long before the assembled series value does.
 Conventions: ``mode="exact"`` selects the reference evaluator and
 ``mode="truncated"`` (``mode="series"`` for the log-moment) the finite form
 whose depth is set by a truncation order. Arguments are scalars unless a
-docstring says otherwise.
+docstring says otherwise; a function that takes an array returns a float for
+a scalar argument and an array of the argument's shape otherwise.
 """
 
 from __future__ import annotations
@@ -24,6 +25,10 @@ LN2 = math.log(2.0)
 
 # ln of the largest representable double, rounded down.
 _LOG_HUGE = 709.0
+
+# Entries per term matrix of a whole-array truncated series: a matrix holds
+# as many rows as fit, and at least one.
+_MATRIX_TERMS = 2**20
 
 
 class SeriesOverflowError(OverflowError):
@@ -82,6 +87,34 @@ def logsumexp(log_terms) -> float:
     return m + math.log(float(np.sum(np.exp(log_terms - m))))
 
 
+def row_logsumexp(terms: np.ndarray) -> np.ndarray:
+    """ln sum_j exp(terms[i, j]) for every row i; an all -inf row gives -inf.
+
+    Each row is reduced as logsumexp reduces a 1-D array: the same shift,
+    the same pairwise sum over a row of the same length, math.log of the
+    total (numpy's vectorized log may differ from libm in the last bit).
+    """
+    m = np.max(terms, axis=1)
+    shift = np.where(m == -math.inf, 0.0, m)
+    totals = np.sum(np.exp(terms - shift[:, None]), axis=1)
+    return shift + np.array([math.log(t) if t > 0.0 else -math.inf
+                             for t in totals.tolist()])
+
+
+def _row_blocks(rows: np.ndarray, n_terms: int) -> list[np.ndarray]:
+    """rows cut into runs whose term matrices of width n_terms fit _MATRIX_TERMS."""
+    step = max(1, _MATRIX_TERMS // n_terms)
+    return [rows[i:i + step] for i in range(0, rows.size, step)]
+
+
+def _require(ok, requirement: str, name: str, value) -> None:
+    """Raise ValueError naming the first element of value where ok is False."""
+    ok = np.asarray(ok)
+    if not ok.all():
+        bad = np.asarray(value, dtype=float)[~ok].flat[0]
+        raise ValueError(f"{requirement}, got {name}={float(bad)}")
+
+
 def log_series_weight(order: int, idx) -> np.ndarray:
     """ln of the truncation weight Gamma(order+idx) * order^(1-2 idx) / Gamma(order-idx+1).
 
@@ -138,21 +171,23 @@ def _dyadic_edges(upper: float, splits: int = 54) -> np.ndarray:
 def bessel_i(x, mode: str = "exact", order: int | None = None):
     """Modified Bessel function of the first kind of order 0, x >= 0.
 
-    Exact mode sums the ascending series adaptively; ``x`` may be an array
-    there. Truncated mode (scalar x) evaluates the finite surrogate of depth
-    ``order`` that the metric series inherit their weights from.
+    ``x`` may be an array in either mode. Exact mode sums the ascending
+    series adaptively. Truncated mode evaluates the finite surrogate of depth
+    ``order`` that the metric series inherit their weights from, for finite
+    x only; every element keeps the bits of its own scalar call.
     """
-    # written as "not >=" so that NaN fails too
-    if not np.all(np.asarray(x) >= 0):
-        raise ValueError(f"bessel_i requires x >= 0, got x={x}")
+    # x >= 0 is False at NaN, so NaN fails too
+    _require(np.asarray(x) >= 0, "bessel_i requires x >= 0", "x", x)
     if mode == "exact":
         value = _bessel_i0_series(x)
-        return float(value) if np.ndim(x) == 0 else value
-    if mode == "truncated":
+    elif mode == "truncated":
         if order is None:
             raise ValueError("truncated mode needs an order")
-        return _bessel_i0_truncated(x, order)
-    raise ValueError(f"unknown bessel_i mode {mode!r}")
+        _require(np.isfinite(x), "truncated bessel_i requires finite x", "x", x)
+        value = _bessel_i0_truncated(np.asarray(x, dtype=float), order)
+    else:
+        raise ValueError(f"unknown bessel_i mode {mode!r}")
+    return float(value) if np.ndim(x) == 0 else value
 
 
 def _bessel_i0_series(x) -> np.ndarray:
@@ -180,16 +215,27 @@ def _bessel_i0_series(x) -> np.ndarray:
     raise RuntimeError("bessel_i series failed to converge")
 
 
-def _bessel_i0_truncated(x: float, order: int) -> float:
-    if x == 0.0:
-        return 1.0
+def _bessel_i0_truncated(x: np.ndarray, order: int) -> np.ndarray:
+    """Truncated I0 at every element of x, one term matrix row per element.
+
+    Each row holds the scalar series' terms with its arithmetic; ln(x/2) and
+    the final exp are libm's, taken one element at a time. Where x/2 is 0
+    (x = 0, or the least subnormal) the value is 1, as it is at x = 1e-323.
+    """
     t = lgamma_int(2 * order + 2)
     r = np.arange(order + 1)
-    log_terms = log_series_weight(order, r) - 2.0 * t[r + 1] + 2.0 * r * math.log(0.5 * x)
-    log_value = logsumexp(log_terms)
-    if log_value > _LOG_HUGE:
-        raise SeriesOverflowError(f"truncated I0({x}) exceeds double range")
-    return math.exp(log_value)
+    base = log_series_weight(order, r) - 2.0 * t[r + 1]
+    two_r = 2.0 * r
+    flat = x.ravel()
+    value = np.ones(flat.size)
+    for rows in _row_blocks(np.flatnonzero(0.5 * flat), r.size):
+        log_half = np.array([math.log(0.5 * v) for v in flat[rows].tolist()])
+        log_values = row_logsumexp(base + two_r * log_half[:, None])
+        for i, log_value in zip(rows.tolist(), log_values.tolist()):
+            if log_value > _LOG_HUGE:
+                raise SeriesOverflowError(f"truncated I0({flat[i]}) exceeds double range")
+            value[i] = math.exp(log_value)
+    return value.reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -246,21 +292,24 @@ def marcum_q1(a: float, b, mode: str = "exact", order: int | None = None):
 
     Exact mode sums the Poisson mixture Q1 = sum_k P[N_a = k] P[N_b <= k]
     with N_a ~ Poisson(a^2/2), N_b ~ Poisson(b^2/2); both factors update in
-    O(1) and every term is positive. ``b`` may be an array in exact mode.
-    Truncated mode evaluates the finite double series of depth ``order``.
+    O(1) and every term is positive. Truncated mode evaluates the finite
+    double series of depth ``order``, for finite a and b only. ``b`` may be
+    an array in either mode; in truncated mode every element keeps the bits
+    of its own scalar call.
     """
     if not a >= 0:
         raise ValueError(f"marcum_q1 requires a >= 0, got a={a}")
-    if not np.all(np.asarray(b) >= 0):
-        raise ValueError(f"marcum_q1 requires b >= 0, got b={b}")
+    _require(np.asarray(b) >= 0, "marcum_q1 requires b >= 0", "b", b)
     if mode == "exact":
         return _marcum_q1_exact(a, b)
     if mode == "truncated":
         if order is None:
             raise ValueError("truncated mode needs an order")
-        if not math.isfinite(a) or not math.isfinite(b):
-            raise ValueError(f"truncated marcum_q1 requires finite a and b, got a={a}, b={b}")
-        return _marcum_q1_truncated(a, float(b), order)
+        requirement = "truncated marcum_q1 requires finite a and b"
+        _require(math.isfinite(a), requirement, "a", a)
+        _require(np.isfinite(b), requirement, "b", b)
+        q = _marcum_q1_truncated(a, np.asarray(b, dtype=float), order)
+        return float(q) if np.ndim(b) == 0 else q
     raise ValueError(f"unknown marcum_q1 mode {mode!r}")
 
 
@@ -308,23 +357,43 @@ def _poisson_mixture(ha: float, hy: np.ndarray) -> np.ndarray:
     return np.minimum(q + max(1.0 - cum_p, 0.0), 1.0)
 
 
-def _marcum_q1_truncated(a: float, b: float, order: int) -> float:
+def _marcum_q1_truncated(a: float, b: np.ndarray, order: int) -> np.ndarray:
+    """Truncated Q1(a, b) at every element of b, one term matrix row per element.
+
+    Each row holds the scalar series' terms, with its arithmetic in its
+    order; ln b and the final exp are libm's, taken one element at a time.
+    """
     t = lgamma_int(2 * order + 2)
-    expo = -0.5 * (a * a + b * b)
     d_top = 0 if a == 0.0 else order
-    # all (d, u) with u <= d (u = 0 when b = 0), d-major
-    if b == 0.0:
-        d, u = np.arange(d_top + 1), np.zeros(d_top + 1, dtype=int)
-    else:
-        d, u = np.tril_indices(d_top + 1)
-    w_d = log_series_weight(order, d) - t[d + 1]
-    log_terms = w_d - t[u + 1] - (d + u) * LN2 + expo
-    # the d = 0 and u = 0 terms gain a signed zero, which moves no bit
-    if a != 0.0:
-        log_terms += 2.0 * d * math.log(a)
-    if b != 0.0:
-        log_terms += 2.0 * u * math.log(b)
-    return math.exp(logsumexp(log_terms))
+    flat = b.ravel()
+    q = np.empty(flat.size)
+    zero = flat == 0.0
+    for b_zero in (True, False):
+        rows = np.flatnonzero(zero == b_zero)
+        if rows.size == 0:
+            continue
+        # all (d, u) with u <= d (u = 0 when b = 0), d-major
+        if b_zero:
+            d, u = np.arange(d_top + 1), np.zeros(d_top + 1, dtype=int)
+        else:
+            d, u = np.tril_indices(d_top + 1)
+        w_d = log_series_weight(order, d) - t[d + 1]
+        base = w_d - t[u + 1] - (d + u) * LN2
+        # the d = 0 and u = 0 terms gain a signed zero, which moves no bit
+        log_a_terms = 2.0 * d * math.log(a) if a != 0.0 else None
+        two_u = None if b_zero else 2.0 * u
+        del d, u, w_d  # at order 2000 each index array is 16 MB
+        for block in _row_blocks(rows, base.size):
+            with np.errstate(over="ignore"):  # b * b past 1.3e154 is inf, Q1 is 0
+                expo = -0.5 * (a * a + flat[block] * flat[block])
+            terms = base + expo[:, None]
+            if log_a_terms is not None:
+                terms += log_a_terms
+            if two_u is not None:
+                log_b = np.array([math.log(v) for v in flat[block].tolist()])
+                terms += two_u * log_b[:, None]
+            q[block] = [math.exp(v) for v in row_logsumexp(terms).tolist()]
+    return q.reshape(b.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -410,14 +479,25 @@ def log_moment_ncx2(lam: float, b: float, mode: str = "series", order: int = 25)
 
 def _log_moment_quadrature(lam: float, b: float) -> float:
     upper = (math.sqrt(lam) + 14.0) ** 2
+    return panel_quadrature(
+        lambda x: np.log(x + b) * _ncx2_density(lam, x.tobytes(), x.shape),
+        _dyadic_edges(upper, splits=54), points=32)
 
-    def f(x):
-        dens = 0.5 * np.exp(-0.5 * (x + lam))
-        if lam > 0:
-            dens = dens * _bessel_i0_series(np.sqrt(lam * x))
-        return np.log(x + b) * dens
 
-    return panel_quadrature(f, _dyadic_edges(upper, splits=54), points=32)
+@functools.lru_cache(maxsize=64)
+def _ncx2_density(lam: float, nodes: bytes, shape: tuple[int, ...]) -> np.ndarray:
+    """Noncentral chi-square density (2 dof, noncentrality lam) at the nodes.
+
+    The nodes come as the bytes of a float array of the given shape, so the
+    density is memoized on them: every offset b of one lam integrates over
+    the same panel nodes, and their I0 series runs once.
+    """
+    x = np.frombuffer(nodes).reshape(shape)
+    dens = 0.5 * np.exp(-0.5 * (x + lam))
+    if lam > 0:
+        dens = dens * _bessel_i0_series(np.sqrt(lam * x))
+    dens.setflags(write=False)
+    return dens
 
 
 def _log_offset_moments(i_max: int, b: float) -> np.ndarray:

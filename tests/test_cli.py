@@ -414,6 +414,29 @@ def test_specfun_check_passes(tmp_path, flags, pinned):
         assert [c["max_error"] for c in report["checks"]] == pinned
 
 
+def test_specfun_check_evaluates_whole_grids(tmp_path, monkeypatch):
+    # one truncated Marcum call per a, one truncated I0 call for all sixty
+    # points, and one I0 series per nonzero lam plus the exact I0 grid
+    calls = {"marcum_q1": 0, "bessel_i": 0, "_bessel_i0_series": 0}
+
+    def counted(name, truncated_only):
+        fn = getattr(sf, name)
+
+        def wrapper(*args, **kwargs):
+            if not truncated_only or kwargs.get("mode") == "truncated":
+                calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(sf, name, wrapper)
+
+    counted("marcum_q1", truncated_only=True)
+    counted("bessel_i", truncated_only=True)
+    counted("_bessel_i0_series", truncated_only=False)
+    sf.log_moment_ncx2.cache_clear()
+    sf._ncx2_density.cache_clear()
+    assert run(["specfun-check", "--out", str(tmp_path)]) == 0
+    assert calls == {"marcum_q1": 9, "bessel_i": 1, "_bessel_i0_series": 4}
+
+
 def test_specfun_check_breaches_at_shallow_orders(tmp_path):
     code = run(["specfun-check", "--out", str(tmp_path),
                 "--truncation", "5,5,5"])

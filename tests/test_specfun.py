@@ -10,6 +10,7 @@ that grow with the mass location of the summed terms.
 
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -429,6 +430,83 @@ def test_marcum_truncated_deep_order_finite():
         assert math.isfinite(value)
 
 
+# the specfun-check grids and the term-by-term grid; zeros sit inside arrays
+CHECK_A = [float(a) for a in np.linspace(0.0, 4.0, 9)]
+CHECK_B = np.linspace(0.0, 6.0, 13)
+LOOP_A = [0.0, 1e-8, 0.5, 4.0, math.sqrt(60.0)]
+LOOP_B = np.array([1e-8, 0.0, 1.5, 6.0, 0.0, 50.0])
+CHECK_X = np.linspace(0.01, 10.0, 60)
+
+
+@pytest.mark.parametrize("order", [1, 5, 25, 40])
+@pytest.mark.parametrize("matrix_terms", [None, 100],
+                         ids=["one-matrix", "split-rows"])
+def test_truncated_arrays_match_scalar_calls_bit_for_bit(order, matrix_terms,
+                                                        monkeypatch):
+    if matrix_terms is not None:
+        # a small cap cuts every grid across several term matrices
+        monkeypatch.setattr(sf, "_MATRIX_TERMS", matrix_terms)
+    for grid_a, grid_b in ((CHECK_A, CHECK_B), (LOOP_A, LOOP_B)):
+        for a in grid_a:
+            got = sf.marcum_q1(a, grid_b, mode="truncated", order=order)
+            want = [sf.marcum_q1(a, b, mode="truncated", order=order)
+                    for b in grid_b.tolist()]
+            assert got.tolist() == want
+    xs = np.concatenate(([0.0], CHECK_X[:30], [0.0, 1e-8], CHECK_X[30:], [0.0]))
+    got = sf.bessel_i(xs.reshape(4, 16), mode="truncated", order=order)
+    want = [sf.bessel_i(x, mode="truncated", order=order) for x in xs.tolist()]
+    assert got.ravel().tolist() == want
+    assert want[0] == 1.0
+
+
+def test_truncated_array_guards():
+    # bessel_i(inf, mode="truncated") once warned, then raised "NaN log term
+    # in logsumexp"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (math.nan, math.inf):
+            for value in (bad, np.array([0.5, 0.0, bad])):
+                with pytest.raises(ValueError, match=f"b={bad}"):
+                    sf.marcum_q1(1.0, value, mode="truncated", order=25)
+                with pytest.raises(ValueError, match=f"x={bad}"):
+                    sf.bessel_i(value, mode="truncated", order=25)
+        with pytest.raises(ValueError, match="b=-2.0"):
+            sf.marcum_q1(1.0, np.array([0.5, -2.0]), mode="truncated", order=25)
+        # b * b overflows to inf, where Q1 is 0, without a warning
+        got = sf.marcum_q1(1.0, np.array([1e200, 2.0]), mode="truncated",
+                           order=25)
+        assert got.tolist() == [0.0, sf.marcum_q1(1.0, 2.0, mode="truncated",
+                                                  order=25)]
+    # x/2 underflows to 0 at the least subnormal, once "math domain error"
+    assert sf.bessel_i(5e-324, mode="truncated", order=25) == 1.0
+    assert sf.bessel_i(1e-323, mode="truncated", order=25) == 1.0
+    with pytest.raises(sf.SeriesOverflowError, match=r"I0\(1e\+300\)"):
+        sf.bessel_i(np.array([1.0, 1e300, 2.0]), mode="truncated", order=25)
+    for b in (2.0, np.float64(2.0)):
+        assert type(sf.marcum_q1(1.0, b, mode="truncated", order=5)) is float
+        assert type(sf.bessel_i(b, mode="truncated", order=5)) is float
+    assert sf.marcum_q1(1.0, np.ones((2, 3)), mode="truncated",
+                        order=5).shape == (2, 3)
+    assert sf.bessel_i(np.ones((3, 2)), mode="truncated", order=5).shape == (3, 2)
+
+
+def test_truncated_marcum_array_peak_memory_stays_near_one_call():
+    # at order 1000 one row holds 500 500 terms; thirteen rows in one matrix
+    # would need about 52 MB per temporary
+    order = 1000
+    sf.lgamma_int(2 * order + 2)
+
+    def peak(b):
+        tracemalloc.start()
+        try:
+            sf.marcum_q1(2.0, b, mode="truncated", order=order)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(CHECK_B) <= 2 * peak(1.5)
+
+
 # ---------------------------------------------------------------------------
 # exponential integral
 
@@ -622,6 +700,25 @@ def test_log_moment_central_chi_square():
 def test_log_moment_exponential_shift():
     want = math.log(2.0) + math.e * math.exp(sf.log_exp_integral_e1(1.0))
     assert sf.log_moment_ncx2(0.0, 2.0) == pytest.approx(want, rel=1e-11)
+
+
+def test_log_moment_quadrature_reuses_one_density_per_lam():
+    # the integrand that evaluated the density on every call
+    def per_call(lam, b):
+        def f(x):
+            dens = 0.5 * np.exp(-0.5 * (x + lam))
+            if lam > 0:
+                dens = dens * sf._bessel_i0_series(np.sqrt(lam * x))
+            return np.log(x + b) * dens
+
+        upper = (math.sqrt(lam) + 14.0) ** 2
+        return sf.panel_quadrature(f, sf._dyadic_edges(upper, splits=54), points=32)
+
+    sf._ncx2_density.cache_clear()
+    for lam in (0.0, 5.0, 10.0, 20.0):
+        for b in (0.0, 0.1, 1.0, 10.0):
+            assert sf._log_moment_quadrature(lam, b) == per_call(lam, b)
+    assert sf._ncx2_density.cache_info().misses == 4
 
 
 def test_log_moment_quadrature_matches_reference():

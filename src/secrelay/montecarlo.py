@@ -12,7 +12,8 @@ Beside the normals, each cached block keeps the per-link gains of the last
 link set evaluated on it, so consecutive calls on one link set transform
 the normals once, and the power-free half of its SINRs (protocol.sinr_terms)
 at the last (beta, eta, zeta, N0) evaluated on those gains, so calls that
-change only the two transmit powers pay only for the powers. An estimate
+change only the two transmit powers pay only for the powers; a functional
+of estimate_functional receives those terms beside the gains. An estimate
 fetches its blocks one at a time, just before each is reduced: one locked
 step draws the block, or finds it, and makes whatever of its gains and
 terms the call needs.
@@ -220,20 +221,20 @@ class NonFiniteSinrError(ValueError):
 
 def _estimate(cfg: ProtocolConfig, links: LinkSet, plan: SimulationPlan,
               values) -> Estimate:
-    """Mean over the plan of the per-frame values(gains, sinrs): the one
-    per-block path behind every estimator.
+    """Mean over the plan of the per-frame values(gains, terms, sinrs): the
+    one per-block path behind every estimator.
 
     Each block's SINRs are computed once, at cfg's powers from its cached
     power-free terms, as the list
     [gamma_m, gamma_e], gamma_e the better of the eavesdropper's two. A
     frame where gamma_m + gamma_e is not finite is refused: from then on no
     block is reduced, and NonFiniteSinrError gives the count over the whole
-    plan. Otherwise values maps the block to its per-frame values; a values
-    function that does not read the SINRs empties the list, which releases
-    them before it works on the gains. Each block is reduced to a sum and a
-    sum of squares, and the sums are folded in block order. Boolean values
-    are hits and get the binomial standard error, real values the sample
-    one.
+    plan. Otherwise values maps the block's gains and cached terms to its
+    per-frame values; a values function that does not read the SINRs
+    empties the list, which releases them before it works on the block.
+    Each block is reduced to a sum and a sum of squares, and the sums are
+    folded in block order. Boolean values are hits and get the binomial
+    standard error, real values the sample one.
     """
     require_noise(cfg)
     total = total_sq = 0.0
@@ -245,7 +246,7 @@ def _estimate(cfg: ProtocolConfig, links: LinkSet, plan: SimulationPlan,
         del gamma_m, gamma_1, gamma_2  # so that emptying sinrs frees them
         refused += _nonfinite(sinrs[0] + sinrs[1])
         if not refused:
-            frame_values = values(gains, sinrs)
+            frame_values = values(gains, terms, sinrs)
             hits = frame_values.dtype == bool
             if hits:
                 total += np.count_nonzero(frame_values)
@@ -283,19 +284,22 @@ def estimate_cp(cfg: ProtocolConfig, links: LinkSet, plan: SimulationPlan) -> Es
     """Probability that the destination decodes: fraction of frames with
     main-link SINR above the transmission threshold."""
     delta = cfg.delta_t
-    return _estimate(cfg, links, plan, lambda gains, sinrs: sinrs[0] > delta)
+    return _estimate(cfg, links, plan,
+                     lambda gains, terms, sinrs: sinrs[0] > delta)
 
 
 def estimate_sop(cfg: ProtocolConfig, links: LinkSet, plan: SimulationPlan) -> Estimate:
     """Probability of a secrecy outage: fraction of frames where the better of
     the eavesdropper's two SINRs clears the secrecy threshold."""
     delta = cfg.delta_e
-    return _estimate(cfg, links, plan, lambda gains, sinrs: sinrs[1] > delta)
+    return _estimate(cfg, links, plan,
+                     lambda gains, terms, sinrs: sinrs[1] > delta)
 
 
 def estimate_asr(cfg: ProtocolConfig, links: LinkSet, plan: SimulationPlan) -> Estimate:
     """Average secrecy rate: mean clamped capacity gap in bits/s/Hz."""
-    return _estimate(cfg, links, plan, lambda gains, sinrs: secrecy_rate(*sinrs))
+    return _estimate(cfg, links, plan,
+                     lambda gains, terms, sinrs: secrecy_rate(*sinrs))
 
 
 def estimate_functional(
@@ -304,19 +308,23 @@ def estimate_functional(
     """Mean of an arbitrary frame functional over the same gain stream the
     metric estimators consume.
 
-    The functional receives the five read-only length-n gain arrays in
-    (au, ub, ue, ae, be) order, as one tuple, and must return n real values;
-    another shape raises ValueError at once. Frames whose SINRs at cfg's
-    powers leave double range are refused under the rule every estimator
-    applies, whatever the functional does with the gains; the functional
-    sees no block from the first refused one on. Non-finite values raise
-    ValueError with their count over the whole plan.
+    The functional is called as functional(gains, terms) once per block.
+    gains holds the block's five read-only length-n gain arrays in
+    (au, ub, ue, ae, be) order, as one tuple; terms is their read-only
+    protocol.SinrTerms at cfg, the power-free half of the SINRs that the
+    engine caches beside them, so a functional that needs the SINRs at
+    other powers brings in only the powers (protocol.sinrs_from_terms). It
+    must return n real values; another shape raises ValueError at once.
+    Frames whose SINRs at cfg's powers leave double range are refused under
+    the rule every estimator applies, whatever the functional does with the
+    block; the functional sees no block from the first refused one on.
+    Non-finite values raise ValueError with their count over the whole plan.
     """
 
-    def values(gains, sinrs):
+    def values(gains, terms, sinrs):
         sinrs.clear()
         length = len(gains[0])
-        frame_values = np.asarray(functional(gains), dtype=float)
+        frame_values = np.asarray(functional(gains, terms), dtype=float)
         if frame_values.shape != (length,):
             raise ValueError(
                 f"functional returned shape {frame_values.shape}, expected ({length},)"

@@ -67,16 +67,14 @@ class SinrConstants(NamedTuple):
 
 
 def sinr_constants(cfg: pr.ProtocolConfig, links: cm.LinkSet,
-                   s_au, s_ub, s_ue, s_ae, s_be) -> SinrConstants:
-    """Reparametrize the SINRs of frames with the given gains as rational
-    functions of the allocation.
+                   terms: pr.SinrTerms, s_ae, s_be) -> SinrConstants:
+    """Reparametrize the SINRs of frames as rational functions of the
+    allocation, from their power-free terms (protocol.sinr_terms at cfg)
+    and their ae and be gains.
 
-    The relayed-path constants come from protocol.sinr_terms, the power-free
-    half of the SINRs, at the total power; the residual-epsilon term is left
-    out.
+    The relayed-path constants are those terms at the total power; the
+    residual-epsilon term is left out.
     """
-    terms = pr.sinr_terms(cfg, s_au, s_ub, s_ue, links.au.large_scale_gain,
-                          links.ub.large_scale_gain, links.ue.large_scale_gain)
     v = s_ae * links.ae.large_scale_gain
     w = s_be * links.be.large_scale_gain
     p, n0 = cfg.total_power, cfg.noise_power
@@ -139,19 +137,40 @@ def _grid_argmax(consts: SinrConstants) -> np.ndarray:
     Where every grid rate is clamped to 0, the first allocation wins. A
     rate curve flat to rounding (possible at nu >> 1, never seen at
     nu < 1) lets rounding pick the full grid's winner, which this may miss.
+
+    The candidates are evaluated one length-n row at a time against a
+    running best rate and allocation, so no temporary is larger than a row.
+    Each row is built in place from its critical point; the rates of finite
+    constants are finite, so every comparison is decided.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        below = np.floor((np.stack(_critical_points(consts)) - _FALLBACK_STEP)
-                         / _FALLBACK_STEP)
-    below = np.nan_to_num(below, nan=0.0)
-    ends = np.zeros((2, below.shape[1]))
-    ends[1] = _FALLBACK_LAST
-    index = np.clip(np.concatenate([ends, below, below + 1.0]),
-                    0, _FALLBACK_LAST).astype(np.intp)
-    candidates = _FALLBACK_STEP * index + _FALLBACK_STEP
-    rate = _rate_from_constants(candidates, consts)
-    # the lowest candidate among those at the best rate
-    return np.where(rate == rate.max(axis=0), candidates, 1.0).min(axis=0)
+        points = _critical_points(consts)
+        for below in points:
+            # the grid index at or below the point, 0 where it is NaN
+            below -= _FALLBACK_STEP
+            below /= _FALLBACK_STEP
+            np.floor(below, out=below)
+            np.copyto(below, 0.0, where=np.isnan(below))
+    best = np.full(consts.c1.shape, _FALLBACK_STEP)
+    best_rate = _rate_from_constants(_FALLBACK_STEP, consts)
+
+    def consider(allocation):
+        rate = _rate_from_constants(allocation, consts)
+        # a higher rate wins, an equal one only at a lower allocation
+        take = (rate > best_rate) | ((rate == best_rate) & (allocation < best))
+        np.copyto(best, allocation, where=take)
+        np.copyto(best_rate, rate, where=take)
+
+    consider(_FALLBACK_STEP * _FALLBACK_LAST + _FALLBACK_STEP)
+    candidate = np.empty_like(best)
+    for below in points:
+        for offset in (0.0, 1.0):
+            np.add(below, offset, out=candidate)
+            np.clip(candidate, 0, _FALLBACK_LAST, out=candidate)
+            candidate *= _FALLBACK_STEP
+            candidate += _FALLBACK_STEP
+            consider(candidate)
+    return best
 
 
 def _policy_allocations(consts: SinrConstants) -> np.ndarray:
@@ -169,26 +188,29 @@ def _policy_allocations(consts: SinrConstants) -> np.ndarray:
 
 def _policy_estimate(cfg: pr.ProtocolConfig, links: cm.LinkSet,
                      plan: mc.SimulationPlan, per_frame) -> mc.Estimate:
-    """estimate_functional of per_frame(consts, gains), consts the block's
-    SinrConstants.
+    """estimate_functional of per_frame(consts, gains, terms), consts the
+    block's SinrConstants.
 
-    The constants are SINR terms at the total power, which the policy may
-    give to either transmitter, so they leave double range at powers where
-    the SINRs at cfg's powers do not. A frame with a non-finite constant is
-    refused before the policy reads it, as the engine refuses non-finite
-    SINRs: from then on the policy reads no block, and NonFiniteSinrError
-    gives the count over the whole plan.
+    The constants are built from the power-free SINR terms that the engine
+    hands the functional beside the gains, the ones it caches per block and
+    split, so the policy makes no terms of its own. They are those terms at
+    the total power, which the policy may give to either transmitter, so
+    they leave double range at powers where the SINRs at cfg's powers do
+    not. A frame with a non-finite constant is refused before the policy
+    reads it, as the engine refuses non-finite SINRs: from then on the
+    policy reads no block, and NonFiniteSinrError gives the count over the
+    whole plan.
     """
     refused = 0
 
-    def functional(gains):
+    def functional(gains, terms):
         nonlocal refused
         with np.errstate(over="ignore", invalid="ignore"):
-            consts = sinr_constants(cfg, links, *gains)
+            consts = sinr_constants(cfg, links, terms, *gains[3:])
         refused += mc._nonfinite(functools.reduce(np.maximum, consts))
         if refused:
             return np.zeros(len(gains[0]))
-        return per_frame(consts, gains)
+        return per_frame(consts, gains, terms)
 
     estimate = mc.estimate_functional(cfg, links, plan, functional)
     if refused:
@@ -213,11 +235,13 @@ def estimate_asr_allocation_policy(cfg: pr.ProtocolConfig, links: cm.LinkSet,
     allocation comes from the protocol SINRs, which keep it when it is on.
     """
 
-    def rates(consts, gains):
+    def rates(consts, gains, terms):
         allocation = _policy_allocations(consts)
         p = cfg.total_power
-        gamma_m, gamma_1, gamma_2 = pr.sinrs(
-            cfg, links, *gains, allocation * p, (1.0 - allocation) * p)
+        s_au, s_ub, _, s_ae, s_be = gains
+        gamma_m, gamma_1, gamma_2 = pr.sinrs_from_terms(
+            cfg, links, terms, s_au, s_ub, s_ae, s_be,
+            allocation * p, (1.0 - allocation) * p)
         return pr.secrecy_rate(gamma_m, np.maximum(gamma_1, gamma_2))
 
     return _policy_estimate(cfg, links, plan, rates)
@@ -227,7 +251,7 @@ def allocation_policy_fallback_share(cfg: pr.ProtocolConfig, links: cm.LinkSet,
                                      plan: mc.SimulationPlan) -> float:
     """Fraction of frames the per-frame policy sends to the grid fallback."""
 
-    def indicator(consts, gains):
+    def indicator(consts, gains, terms):
         return (np.asarray(consts.nu) < 1.0).astype(float)
 
     return _policy_estimate(cfg, links, plan, indicator).mean

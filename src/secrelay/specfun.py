@@ -115,6 +115,18 @@ def _require(ok, requirement: str, name: str, value) -> None:
         raise ValueError(f"{requirement}, got {name}={float(bad)}")
 
 
+def _scalar(name: str, value):
+    """An argument that must be one value: itself, or the number a 0-d array
+    holds; any other array raises ValueError naming the argument."""
+    if isinstance(value, (int, float)):
+        # the common case, without the array np.ndim would make of it
+        return value
+    if np.ndim(value) != 0:
+        raise ValueError(f"{name} must be a scalar, got an array of shape "
+                         f"{np.shape(value)}")
+    return value.item() if isinstance(value, np.ndarray) else value
+
+
 def log_series_weight(order: int, idx) -> np.ndarray:
     """ln of the truncation weight Gamma(order+idx) * order^(1-2 idx) / Gamma(order-idx+1).
 
@@ -295,8 +307,9 @@ def marcum_q1(a: float, b, mode: str = "exact", order: int | None = None):
     O(1) and every term is positive. Truncated mode evaluates the finite
     double series of depth ``order``, for finite a and b only. ``b`` may be
     an array in either mode; in truncated mode every element keeps the bits
-    of its own scalar call.
+    of its own scalar call. ``a`` must be a scalar.
     """
+    a = _scalar("a", a)
     if not a >= 0:
         raise ValueError(f"marcum_q1 requires a >= 0, got a={a}")
     _require(np.asarray(b) >= 0, "marcum_q1 requires b >= 0", "b", b)
@@ -445,7 +458,6 @@ def _en_continued_fraction(n: int, x: float) -> float:
 # ---------------------------------------------------------------------------
 # Lemma machinery: E[ln(X + b)] for X ~ noncentral chi-square, 2 dof
 
-@functools.lru_cache(maxsize=256)
 def log_moment_ncx2(lam: float, b: float, mode: str = "series", order: int = 25):
     """E[ln(X + b)] where X is noncentral chi-square with 2 degrees of
     freedom and noncentrality lam >= 0, and b >= 0 is a constant offset.
@@ -458,8 +470,14 @@ def log_moment_ncx2(lam: float, b: float, mode: str = "series", order: int = 25)
 
     Values are cached per argument tuple: a grid of rate bounds repeats the
     same few (lam, b), since the offset depends on the split and not on the
-    allocation. Errors are not cached.
+    allocation. Errors are not cached. lam and b must be scalars; an array
+    is refused before the cache would try to hash it.
     """
+    return _cached_log_moment(_scalar("lam", lam), _scalar("b", b), mode, order)
+
+
+@functools.lru_cache(maxsize=256)
+def _cached_log_moment(lam: float, b: float, mode: str, order: int) -> float:
     if not 0 <= lam < math.inf:
         raise ValueError(f"finite lam >= 0 required, got lam={lam}")
     if not 0 <= b < math.inf:
@@ -475,6 +493,11 @@ def log_moment_ncx2(lam: float, b: float, mode: str = "series", order: int = 25)
     log_terms = (log_series_weight(order, r) - lgamma_int(order + 1)[r + 1] - r * LN2
                  + np.log(_log_offset_moments(order, b)) + r * math.log(lam))
     return math.exp(logsumexp(log_terms) - 0.5 * lam)
+
+
+# the cache's handles, on the public name
+log_moment_ncx2.cache_clear = _cached_log_moment.cache_clear
+log_moment_ncx2.__wrapped__ = _cached_log_moment.__wrapped__
 
 
 def _log_moment_quadrature(lam: float, b: float) -> float:

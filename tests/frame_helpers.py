@@ -1,6 +1,6 @@
-"""Shared test helpers: pinned frame draws, the SINRs of a frame, a
-brute-force allocation reference and the Shannon capacity the secrecy rate
-is built from."""
+"""Shared test helpers: pinned frame draws, the SINRs and allocation
+constants of a frame, a brute-force allocation reference and the Shannon
+capacity the secrecy rate is built from."""
 
 import math
 from dataclasses import replace
@@ -9,6 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from secrelay import channel_models as cm
+from secrelay import optimize as opt
 from secrelay import protocol as pr
 
 
@@ -41,6 +42,14 @@ def draw_frames(links, stream, size):
 def frame_sinrs(cfg, frame, links):
     """(gamma_main, gamma_eve1, gamma_eve2) of a frame at cfg's powers."""
     return pr.sinrs(cfg, links, *frame, cfg.source_power, cfg.jamming_power)
+
+
+def frame_constants(cfg, frame, links):
+    """optimize.SinrConstants of a frame, from its protocol.sinr_terms."""
+    terms = pr.sinr_terms(cfg, frame.s_au, frame.s_ub, frame.s_ue,
+                          links.au.large_scale_gain, links.ub.large_scale_gain,
+                          links.ue.large_scale_gain)
+    return opt.sinr_constants(cfg, links, terms, frame.s_ae, frame.s_be)
 
 
 def phi(cfg, frame, links, allocation):

@@ -35,7 +35,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from frame_helpers import draw_frames, phi_grid_argmax
+from frame_helpers import draw_frames, frame_constants, phi_grid_argmax
 
 from secrelay import analytic as an
 from secrelay import channel_models as cm
@@ -124,7 +124,7 @@ def test_allocation_closed_form_hits_grid_argmax():
     start = time.perf_counter()
     cfg = pr.ProtocolConfig(total_power=watts(80.0))
     frames = draw_frames(LINKS, mc.block_stream(2024, 0), 100)
-    consts = opt.sinr_constants(cfg, LINKS, *frames)
+    consts = frame_constants(cfg, frames, LINKS)
     residual = 1.0 - 1.0 / (1.0 + np.sqrt(consts.nu))
     assert np.all(consts.c1 > consts.nu), (
         f"high-SNR premise fails: min c1/nu {np.min(consts.c1 / consts.nu):.3g}")

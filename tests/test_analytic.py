@@ -248,7 +248,7 @@ def test_sop_l1_matches_empirical():
     delta_e = cfg.delta_e
     est = mc.estimate_functional(
         cfg, LINKS, mc.SimulationPlan(frames=1_000_000, seed=13),
-        lambda frame: (frame_sinrs(cfg, frame, LINKS)[1] <= delta_e).astype(float),
+        lambda frame, terms: (frame_sinrs(cfg, frame, LINKS)[1] <= delta_e).astype(float),
     )
     assert abs(an.sop_l1(cfg, LINKS) - est.mean) < 3.0 * est.std_error
 
@@ -721,7 +721,7 @@ def test_mean_gamma_eve_phase1_matches_monte_carlo():
     cfg = cfg_at(20)
     est = mc.estimate_functional(
         cfg, LINKS, mc.SimulationPlan(frames=1_000_000, seed=13),
-        lambda frame: frame_sinrs(cfg, frame, LINKS)[1],
+        lambda frame, terms: frame_sinrs(cfg, frame, LINKS)[1],
     )
     got = an.mean_gamma_eve_phase1(cfg, LINKS)
     assert abs(got - est.mean) / est.mean < 0.02

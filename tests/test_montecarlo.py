@@ -83,7 +83,7 @@ def test_estimators_reject_zero_noise(estimator):
 def constant_functional(cfg, links, plan):
     """estimate_functional of a functional that is 1 on every frame."""
     return mc.estimate_functional(cfg, links, plan,
-                                  lambda gains: np.ones_like(gains[0]))
+                                  lambda gains, terms: np.ones_like(gains[0]))
 
 
 @pytest.mark.parametrize("estimator,power,noise,bad", [
@@ -130,7 +130,7 @@ def test_functional_rejects_zero_noise():
     cfg = pr.ProtocolConfig(total_power=100.0, noise_power=0.0)
     with pytest.raises(ValueError, match="noise_power"):
         mc.estimate_functional(cfg, LINKS, mc.SimulationPlan(frames=100, seed=0),
-                               lambda gains: np.ones_like(gains[0]))
+                               lambda gains, terms: np.ones_like(gains[0]))
 
 
 def test_block_stream_reproducible_and_distinct():
@@ -219,7 +219,7 @@ def test_secrecy_rate_bounded_by_main_capacity():
     plan = mc.SimulationPlan(frames=20_000, seed=6)
     cap = mc.estimate_functional(
         CFG, LINKS, plan,
-        lambda frame: 0.5 * np.log2(1.0 + frame_sinrs(CFG, frame, LINKS)[0]))
+        lambda frame, terms: 0.5 * np.log2(1.0 + frame_sinrs(CFG, frame, LINKS)[0]))
     asr = mc.estimate_asr(CFG, LINKS, plan)
     assert asr.mean < cap.mean
 
@@ -230,10 +230,10 @@ def test_outage_factorises_over_independent_phases():
     delta = CFG.delta_e
     p1 = mc.estimate_functional(
         CFG, LINKS, plan,
-        lambda f: (frame_sinrs(CFG, f, LINKS)[1] > delta).astype(float))
+        lambda f, terms: (frame_sinrs(CFG, f, LINKS)[1] > delta).astype(float))
     p2 = mc.estimate_functional(
         CFG, LINKS, plan,
-        lambda f: (frame_sinrs(CFG, f, LINKS)[2] > delta).astype(float))
+        lambda f, terms: (frame_sinrs(CFG, f, LINKS)[2] > delta).astype(float))
     sop = mc.estimate_sop(CFG, LINKS, plan)
     predicted = 1.0 - (1.0 - p1.mean) * (1.0 - p2.mean)
     gap_se = np.sqrt(p1.std_error**2 + p2.std_error**2 + sop.std_error**2)
@@ -247,7 +247,7 @@ def test_outage_factorises_over_independent_phases():
 def test_constant_functional():
     plan = mc.SimulationPlan(frames=3_000, seed=0)
     est = mc.estimate_functional(
-        CFG, LINKS, plan, lambda gains: np.ones_like(gains[0]))
+        CFG, LINKS, plan, lambda gains, terms: np.ones_like(gains[0]))
     assert est.mean == 1.0 and est.std_error == 0.0
 
 
@@ -256,7 +256,7 @@ def test_indicator_functional_matches_cp():
     delta = CFG.delta_t
     est = mc.estimate_functional(
         CFG, LINKS, plan,
-        lambda f: (frame_sinrs(CFG, f, LINKS)[0] > delta).astype(float))
+        lambda f, terms: (frame_sinrs(CFG, f, LINKS)[0] > delta).astype(float))
     cp = mc.estimate_cp(CFG, LINKS, plan)
     assert est.mean == cp.mean
     # sample-variance versus binomial error bar differ only by n/(n-1)
@@ -267,14 +267,14 @@ def test_indicator_functional_matches_cp():
 def test_frozen_eavesdropper_mean():
     plan = mc.SimulationPlan(frames=50_000, seed=5)
     est = mc.estimate_functional(
-        CFG, LINKS, plan, lambda f: frame_sinrs(CFG, f, LINKS)[1])
+        CFG, LINKS, plan, lambda f, terms: frame_sinrs(CFG, f, LINKS)[1])
     assert est.mean == pytest.approx(FROZEN_EVE1_MEAN, rel=1e-12)
 
 
 def test_functional_shape_mismatch_rejected():
     plan = mc.SimulationPlan(frames=1_000, seed=0)
     with pytest.raises(ValueError):
-        mc.estimate_functional(CFG, LINKS, plan, lambda frame: 1.0)
+        mc.estimate_functional(CFG, LINKS, plan, lambda frame, terms: 1.0)
 
 
 def test_functional_shape_error_names_the_block_length():
@@ -282,14 +282,14 @@ def test_functional_shape_error_names_the_block_length():
     plan = mc.SimulationPlan(frames=10_000, seed=0)
     with pytest.raises(ValueError,
                        match=r"functional returned shape \(8191,\), expected \(8192,\)"):
-        mc.estimate_functional(CFG, LINKS, plan, lambda gains: gains[0][:-1])
+        mc.estimate_functional(CFG, LINKS, plan, lambda gains, terms: gains[0][:-1])
 
 
 def test_functional_non_finite_count_spans_the_plan():
     # ln(1 - s_au) is NaN or -inf wherever s_au >= 1, in both blocks
     plan = mc.SimulationPlan(frames=10_000, seed=0)
 
-    def bad(gains):
+    def bad(gains, terms):
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.log(1.0 - gains[0])
 
@@ -301,7 +301,7 @@ def test_functional_non_finite_count_spans_the_plan():
 def test_functional_must_stay_finite():
     plan = mc.SimulationPlan(frames=1_000, seed=0)
 
-    def bad(gains):
+    def bad(gains, terms):
         with np.errstate(invalid="ignore"):
             return np.log(1.0 - gains[0])
 
@@ -665,7 +665,7 @@ def test_threads_alternating_splits_keep_their_own_terms():
 def test_functional_gets_read_only_gains():
     plan = mc.SimulationPlan(frames=1_000, seed=0)
 
-    def writes(gains):
+    def writes(gains, terms):
         gains[0][0] = 1.0
         return np.ones_like(gains[0])
 

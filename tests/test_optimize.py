@@ -1,12 +1,13 @@
 """Allocation tuning: closed form vs exact grid, policy estimator, searches."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from frame_helpers import (PHI_GRID, Frame, capacity, draw_frames, frame_sinrs, phi,
-                           phi_grid_argmax)
+from frame_helpers import (PHI_GRID, Frame, capacity, draw_frames, frame_constants,
+                           frame_sinrs, phi, phi_grid_argmax)
 from hypothesis import assume, given, settings, strategies as st
 
 from secrelay import channel_models as cm
@@ -59,7 +60,7 @@ def one_frame(s_au, s_ub, s_ue, s_ae, s_be):
 
 def policy(cfg, frame, links):
     """(nu, allocation) of the per-frame policy, one entry per frame."""
-    consts = opt.sinr_constants(cfg, links, *frame)
+    consts = frame_constants(cfg, frame, links)
     return consts.nu, opt._policy_allocations(consts)
 
 
@@ -80,7 +81,7 @@ def test_interior_branch():
 def test_no_optimum_branch_is_a_value():
     # no interior optimum: the policy takes the best point of its grid
     frame = one_frame(1.0, 8.0, 1.0, 1.0, 8.0)
-    consts = opt.sinr_constants(CFG30, UNIT_LINKS, *frame)
+    consts = frame_constants(CFG30, frame, UNIT_LINKS)
     assert consts.nu[0] == 0.25
     allocation = opt._policy_allocations(consts)
     assert np.isin(allocation, FULL_GRID).all()
@@ -95,8 +96,8 @@ def test_half_branch():
 
 def test_links_scale_the_ratios():
     frame = one_frame(1.0, 1.0, 1.0, 1.0, 1.0)
-    raw = opt.sinr_constants(CFG30, UNIT_LINKS, *frame).nu
-    scaled = opt.sinr_constants(CFG30, LINKS, *frame).nu
+    raw = frame_constants(CFG30, frame, UNIT_LINKS).nu
+    scaled = frame_constants(CFG30, frame, LINKS).nu
     assert raw[0] == 2.0
     expected = (LINKS.ae.large_scale_gain / LINKS.be.large_scale_gain
                 + LINKS.au.large_scale_gain / LINKS.ub.large_scale_gain)
@@ -147,7 +148,7 @@ def test_exact_phi_matches_rational_reparametrization():
     # dependence; check it against the protocol route across the domain.
     for lam in (0.05, 0.37, 0.93):
         exact = phi(CFG30, FRAMES, LINKS, lam)
-        c = opt.sinr_constants(CFG30, LINKS, *FRAMES)
+        c = frame_constants(CFG30, FRAMES, LINKS)
         gamma_m = lam * c.c1
         gamma_e = np.maximum(lam * c.c2 / ((1 - lam) * c.c3 + 1.0),
                              lam * c.c4 / ((1 - lam) * c.c5 + 1.0))
@@ -160,7 +161,7 @@ def test_sinr_constants_reproduce_protocol_sinrs(beta):
     # The rational form is the only SINR model besides protocol.sinrs; with
     # the residual term off it must give the same three SINRs.
     cfg = pr.ProtocolConfig(total_power=1000.0, power_split=beta)
-    c = opt.sinr_constants(cfg, LINKS, *FRAMES)
+    c = frame_constants(cfg, FRAMES, LINKS)
     for lam in (0.05, 0.37, 0.93, 1.0):
         p_a, p_b = lam * cfg.total_power, (1.0 - lam) * cfg.total_power
         gamma_m, gamma_1, gamma_2 = pr.sinrs(cfg, LINKS, *FRAMES, p_a, p_b)
@@ -189,7 +190,7 @@ def test_phi_negative_when_eavesdropper_dominates():
 def test_approximate_mode_peaks_at_closed_form():
     # phi's high-SNR form c1*a*(1-a) / (1 + (nu-1)*a) peaks at the closed
     # form 1/(1 + sqrt(nu)) that the policy applies
-    consts = opt.sinr_constants(CFG30, UNIT_LINKS, *one_frame(1.0, 1.0, 1.0, 1.0, 1.0))
+    consts = frame_constants(CFG30, one_frame(1.0, 1.0, 1.0, 1.0, 1.0), UNIT_LINKS)
     values = consts.c1 * PHI_GRID * (1.0 - PHI_GRID) / (1.0 + (consts.nu - 1.0) * PHI_GRID)
     argmax = float(PHI_GRID[int(np.argmax(values))])
     assert argmax == pytest.approx(1.0 / (1.0 + math.sqrt(2.0)), abs=1e-3)
@@ -302,8 +303,9 @@ def test_fallback_matches_full_grid_on_placement_frames():
             links = cm.build_links(geo.move_relay(geometry, along=along),
                                    cfg.environment)
 
-            def grab(gains, links=links):
-                parts.append(low_nu(opt.sinr_constants(protocol, links, *gains)))
+            def grab(gains, terms, links=links):
+                parts.append(low_nu(
+                    opt.sinr_constants(protocol, links, terms, *gains[3:])))
                 return np.zeros(gains[0].size)
 
             mc.estimate_functional(protocol, links, plan, grab)
@@ -382,20 +384,28 @@ def test_grid_argmax_all_clamped_picks_first_allocation():
 def test_grid_argmax_two_way_tie_picks_lower_allocation(monkeypatch):
     # the tie rule on its own: a rate that peaks, exactly equal, at the top
     # end 0.99 (always a candidate) and at the largest candidate below it,
-    # which comes after 0.99 in the candidate rows
-    seconds = []
-
-    def two_top(candidates, consts):
-        second = np.where(candidates < 0.99, candidates, 0.0).max(axis=0)
-        seconds.append(second)
-        return ((candidates == 0.99) | (candidates == second)).astype(float)
-
+    # which is evaluated after 0.99
     c1 = np.logspace(-2, 4, 61)
     consts = constants(c1, *np.broadcast_arrays(0.5, 2.0, 0.05, 0.3, c1)[:4])
+    rows = []
+
+    def recording(candidates, consts):
+        rows.append(np.broadcast_to(candidates, c1.shape).copy())
+        return np.zeros(c1.shape)
+
+    monkeypatch.setattr(opt, "_rate_from_constants", recording)
+    opt._grid_argmax(consts)
+    rows = np.stack(rows)
+    assert len(rows) == 8
+    second = np.where(rows < 0.99, rows, 0.0).max(axis=0)
+
+    def two_top(candidates, consts):
+        return ((candidates == 0.99) | (candidates == second)).astype(float)
+
     monkeypatch.setattr(opt, "_rate_from_constants", two_top)
     got = opt._grid_argmax(consts)
-    assert np.any(seconds[0] > 0.01)
-    np.testing.assert_array_equal(got, seconds[0])
+    assert np.any(second > 0.01)
+    np.testing.assert_array_equal(got, second)
 
 
 def replayed_policy_mean(cfg, plan):
@@ -412,7 +422,7 @@ def replayed_policy_mean(cfg, plan):
     amp = mu + sigma * z[:, :, 0]
     gains = amp * amp + (sigma * z[:, :, 1]) ** 2
     frames = Frame(*[gains[:, j] for j in range(5)])
-    consts = opt.sinr_constants(cfg, LINKS, *frames)
+    consts = frame_constants(cfg, frames, LINKS)
     nu = np.asarray(consts.nu)
     fallback_grid = np.linspace(0.01, 0.99, 99)
     rates = np.empty(plan.frames)
@@ -435,6 +445,47 @@ def test_policy_matches_manual_replay():
     plan = mc.SimulationPlan(frames=8192, seed=11)
     est = opt.estimate_asr_allocation_policy(CFG20, LINKS, plan)
     assert est.mean == pytest.approx(replayed_policy_mean(CFG20, plan), rel=1e-13)
+
+
+def test_placement_sweep_makes_sinr_terms_once_per_block(monkeypatch):
+    # the policy functionals read the terms the engine caches per block and
+    # split, so only the first estimate at each position makes them: 19
+    # positions x 2 blocks. Rebuilt by the policy, they were made 152 times.
+    cfg = cfgfile.load_config(None)
+    made = []
+    original = pr.sinr_terms
+
+    def counting(*args, **kwargs):
+        made.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pr, "sinr_terms", counting)
+    mc.clear_block_cache()
+    opt.placement_sweep(cfg.effective_protocol(), cfg.effective_geometry(),
+                        mc.SimulationPlan(frames=16384, seed=0), "horizontal",
+                        env=cfg.environment)
+    mc.clear_block_cache()
+    assert len(made) == 38
+
+
+def test_policy_peak_memory_stays_within_block_rows():
+    # near the destination almost every frame takes the grid fallback; its
+    # eight candidates as (8, n) arrays once lifted this peak to 4.8 MB
+    cfg = cfgfile.load_config(None)
+    protocol = cfg.effective_protocol()
+    links = cm.build_links(geo.move_relay(cfg.effective_geometry(), along=0.9),
+                           cfg.environment)
+    plan = mc.SimulationPlan(frames=16384, seed=0)
+    # also leaves the plan's blocks, gains and terms in the cache
+    assert opt.allocation_policy_fallback_share(protocol, links, plan) >= 0.98
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        opt.estimate_asr_allocation_policy(protocol, links, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 2e6
 
 
 def test_policy_rate_keeps_residual_term():

@@ -348,6 +348,9 @@ def test_marcum_rejects_nan():
             sf.marcum_q1(math.nan, 1.0, mode=mode, order=25)
         with pytest.raises(ValueError, match="b="):
             sf.marcum_q1(1.0, math.nan, mode=mode, order=25)
+        # an array a once raised numpy's "truth value ... is ambiguous"
+        with pytest.raises(ValueError, match="a must be a scalar"):
+            sf.marcum_q1(np.array([1.0, 2.0]), 1.0, mode=mode, order=25)
     with pytest.raises(ValueError, match="b="):
         sf.marcum_q1(1.0, np.array([0.5, math.nan]))
     # truncated mode once raised "NaN log magnitude in signed_logsumexp";
@@ -755,6 +758,13 @@ def test_log_moment_rejects_nan():
             sf.log_moment_ncx2(math.nan, 0.0, mode)
         with pytest.raises(ValueError, match="b="):
             sf.log_moment_ncx2(1.0, math.nan, mode)
+    # arrays once raised "unhashable type" from the cache
+    with pytest.raises(ValueError, match="lam must be a scalar"):
+        sf.log_moment_ncx2(np.array([1.0, 2.0]), 0.0)
+    with pytest.raises(ValueError, match="b must be a scalar"):
+        sf.log_moment_ncx2(1.0, np.array([0.0, 1.0]))
+    assert sf.log_moment_ncx2(np.array(1.0), np.array(0.5)) == \
+        sf.log_moment_ncx2(1.0, 0.5)
 
 
 def test_log_moment_rejects_inf():

@@ -346,14 +346,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH",
                         help="experiment configuration file (INI groups)")
-    common.add_argument("--seed", type=int, help="override the plan seed")
-    common.add_argument("--frames", type=int, help="override the frame count")
+    common.add_argument("--seed", help="sets [plan] seed over the file")
+    common.add_argument("--frames", help="sets [plan] frames over the file")
     common.add_argument("--truncation", metavar="D,R,Q",
-                        help="override the three series truncation orders")
+                        help="sets [truncation] d, r, q over the file")
     common.add_argument("--out", metavar="DIR", default=".",
                         help="output directory (default: current)")
-    common.add_argument("--baseline", choices=BASELINES,
-                        help="override the comparison mode")
+    common.add_argument("--baseline", metavar="{" + ",".join(BASELINES) + "}",
+                        help="sets [mode] baseline over the file")
     common.add_argument("--powers", metavar="P1,P2,...",
                         default=",".join(str(p) for p in DEFAULT_POWER_GRID),
                         help="dBW grid for power-indexed commands")
@@ -391,11 +391,17 @@ def main(argv=None) -> int:
         libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
         libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
     try:
-        cfg = cfgfile.load_config(args.config)
-        orders = (cfgfile.parse_truncation(args.truncation)
-                  if args.truncation else None)
-        cfg = cfgfile.apply_overrides(cfg, seed=args.seed, frames=args.frames,
-                                      orders=orders, baseline=args.baseline)
+        # each flag is a config key, parsed by that key's own parser
+        flags = {("plan", "seed"): args.seed, ("plan", "frames"): args.frames,
+                 ("mode", "baseline"): args.baseline}
+        if args.truncation is not None:
+            parts = args.truncation.split(",")
+            if len(parts) != 3:
+                raise ConfigError(
+                    f"--truncation needs D,R,Q, got {args.truncation!r}")
+            flags.update(zip((("truncation", key) for key in "drq"), parts))
+        cfg = cfgfile.load_config(args.config, {
+            name: raw for name, raw in flags.items() if raw is not None})
         powers = _parse_powers(args.powers)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -5,7 +5,8 @@ A key left out keeps the default of the dataclass field it sets; together
 they reproduce the reference drop (10-unit source-destination separation,
 relay at (2, 0, 1.5), eavesdropper at (8, 1, 0), 20 dBW, even splits, 1e5
 frames). Unknown sections or keys, and keys under [DEFAULT], are hard errors,
-so typos cannot silently fall back to defaults. Power enters in dBW, as on
+so typos cannot silently fall back to defaults. A command-line flag sets one
+of these keys and goes through the same parser. Power enters in dBW, as on
 every figure axis, and is converted to linear watts exactly once, here.
 """
 
@@ -78,6 +79,11 @@ class ExperimentConfig:
             raise ConfigError(
                 f"baseline must be one of {BASELINES}, got {self.baseline!r}"
             )
+        # every metric needs noise; ProtocolConfig alone allows none
+        try:
+            pr.require_noise(self.protocol)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         try:
             self.build_links()
         except ValueError as exc:
@@ -111,8 +117,8 @@ _BOOL_WORDS = {"on": True, "true": True, "yes": True, "1": True,
 
 
 def _node(text: str, where: str) -> geo.NodePosition:
-    parts = text.replace(",", " ").split()
-    if len(parts) != 3:
+    parts = text.split(",") if "," in text else text.split()
+    if len(parts) != 3 or not all(part.strip() for part in parts):
         raise ConfigError(f"{where} needs three coordinates, got {text!r}")
     try:
         x, y, z = (float(p) for p in parts)
@@ -175,8 +181,15 @@ _KEYS = {
 }
 
 
-def load_config(path: str | None = None) -> ExperimentConfig:
-    """Parse an INI file into an ExperimentConfig; path None means defaults."""
+def load_config(path: str | None = None,
+                flags: dict[tuple[str, str], str] | None = None) -> ExperimentConfig:
+    """Parse an INI file and command-line flags into an ExperimentConfig.
+
+    path None means no file. flags maps (section, key) to a flag's raw
+    string; it wins over the file's key and goes through the same parser,
+    and an error names the flag (--truncation sets the three [truncation]
+    keys, every other flag the key of its own name).
+    """
     sections: dict[str, dict[str, str]] = {}
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None)
@@ -187,29 +200,36 @@ def load_config(path: str | None = None) -> ExperimentConfig:
             raise ConfigError(f"cannot read config file: {exc}") from None
         except configparser.Error as exc:
             raise ConfigError(f"malformed config file: {exc}") from None
-        # every name is checked before any value is parsed; configparser
-        # would copy [DEFAULT] keys into every section, or drop them unread
+        # configparser would copy [DEFAULT] keys into every section, or
+        # drop them unread
         if parser.defaults():
             raise ConfigError(
                 "keys under [DEFAULT] are not allowed: "
                 f"{', '.join(sorted(parser.defaults()))}"
             )
-        for name in parser.sections():
-            if name not in _KEYS:
-                raise ConfigError(f"unknown config section [{name}]")
-            sections[name] = dict(parser.items(name))
-            unknown = set(sections[name]) - set(_KEYS[name])
-            if unknown:
-                raise ConfigError(
-                    f"unknown key(s) in [{name}]: {', '.join(sorted(unknown))}"
-                )
+        sections = {name: dict(parser.items(name)) for name in parser.sections()}
+    where = {(section, key): f"[{section}] {key}"
+             for section, values in sections.items() for key in values}
+    for (section, key), raw in (flags or {}).items():
+        sections.setdefault(section, {})[key] = raw
+        where[section, key] = ("--truncation" if section == "truncation"
+                               else f"--{key}")
+    # every name is checked before any value is parsed
+    for name, values in sections.items():
+        if name not in _KEYS:
+            raise ConfigError(f"unknown config section [{name}]")
+        unknown = set(values) - set(_KEYS[name])
+        if unknown:
+            raise ConfigError(
+                f"unknown key(s) in [{name}]: {', '.join(sorted(unknown))}"
+            )
 
     fields: dict[str, dict] = collections.defaultdict(dict)
     try:
         for section, values in sections.items():
             for key, raw in values.items():
                 target, field, parse = _KEYS[section][key]
-                fields[target][field] = parse(raw, f"[{section}] {key}")
+                fields[target][field] = parse(raw, where[section, key])
         return ExperimentConfig(
             geometry=replace(default_geometry(), **fields["geometry"]),
             environment=geo.Environment(**fields["environment"]),
@@ -224,38 +244,3 @@ def load_config(path: str | None = None) -> ExperimentConfig:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-
-def parse_truncation(text: str) -> sf.TruncationOrders:
-    """Parse a 'D,R,Q' flag value."""
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ConfigError(f"--truncation needs D,R,Q, got {text!r}")
-    try:
-        d, r, q = (int(p) for p in parts)
-        return sf.TruncationOrders(D=d, R=r, Q=q)
-    except ValueError as exc:
-        raise ConfigError(f"bad --truncation value {text!r}: {exc}") from None
-
-
-def apply_overrides(
-    cfg: ExperimentConfig,
-    seed: int | None = None,
-    frames: int | None = None,
-    orders: sf.TruncationOrders | None = None,
-    baseline: str | None = None,
-) -> ExperimentConfig:
-    """Command-line flag values win over the file."""
-    plan = cfg.plan
-    if seed is not None or frames is not None:
-        try:
-            plan = replace(cfg.plan,
-                           seed=plan.seed if seed is None else seed,
-                           frames=plan.frames if frames is None else frames)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    return replace(
-        cfg, plan=plan,
-        orders=cfg.orders if orders is None else orders,
-        baseline=cfg.baseline if baseline is None else baseline,
-    )

@@ -63,9 +63,9 @@ class ProtocolConfig:
             raise ValueError(
                 f"harvester_efficiency must lie in (0, 1], got {self.harvester_efficiency}"
             )
-        if self.noise_power < 0:
+        if not self.noise_power >= 0:
             raise ValueError(f"noise_power must be >= 0, got {self.noise_power}")
-        if self.processing_noise_ratio < 0:
+        if not self.processing_noise_ratio >= 0:
             raise ValueError(
                 f"processing_noise_ratio must be >= 0, got {self.processing_noise_ratio}"
             )

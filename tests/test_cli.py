@@ -1,5 +1,6 @@
 """Configuration loading and the command-line runner's three subcommands."""
 
+import dataclasses
 import json
 import math
 import pathlib
@@ -131,6 +132,8 @@ def test_readme_config_block_loads_to_the_defaults(tmp_path):
     ("[protocol]\nbogus_key = 1\n", "unknown key"),
     ("[protocol]\nallocation = high\n", "not a valid value"),
     ("[geometry]\nrelay = 1 2\n", "three coordinates"),
+    # an empty field is not a zero
+    ("[geometry]\nrelay = 2,,0,1.5\n", "three coordinates"),
     ("[geometry]\nrelay = a b c\n", "non-numeric"),
     ("[geometry]\nrelay = 2 0 -1\n", "altitude must be >= 0"),
     # a node error names the key it came from
@@ -138,6 +141,9 @@ def test_readme_config_block_loads_to_the_defaults(tmp_path):
     ("[mode]\nresidual_epsilon = maybe\n", "on/off"),
     ("[mode]\nbaseline = hovercraft\n", "baseline"),
     ("[plan]\nframes = -5\n", "frames"),
+    ("[protocol]\nnoise_power = 0\n", "noise_power must be > 0"),
+    ("[protocol]\nnoise_power = nan\n", "noise_power must be >= 0, got nan"),
+    ("[protocol]\nprocessing_noise_ratio = nan\n", "processing_noise_ratio"),
     ("[plan]\nworkers = 2\n", "unknown key"),
     # names are checked before values, whatever the section order
     ("[protocol]\nallocation = high\n[plan]\nworkers = 2\n", "unknown key"),
@@ -163,28 +169,57 @@ def test_missing_file_is_config_error():
         cfgfile.load_config("/no/such/file.ini")
 
 
-def test_parse_truncation():
-    orders = cfgfile.parse_truncation("30,20,15")
-    assert (orders.D, orders.R, orders.Q) == (30, 20, 15)
-    with pytest.raises(ConfigError):
-        cfgfile.parse_truncation("30,20")
-    with pytest.raises(ConfigError):
-        cfgfile.parse_truncation("a,b,c")
-    with pytest.raises(ConfigError):
-        cfgfile.parse_truncation("0,5,5")
+def test_truncation_flag_needs_three_orders(tmp_path, capsys):
+    for text in ("30,20", "30,20,15,10", ""):
+        assert run(["specfun-check", "--truncation", text,
+                    "--out", str(tmp_path)]) == 2
+        assert "--truncation needs D,R,Q" in capsys.readouterr().err
+    assert run(["specfun-check", "--truncation", "0,5,5",
+                "--out", str(tmp_path)]) == 2
+    assert "orders must be >= 1" in capsys.readouterr().err
 
 
-def test_apply_overrides():
-    cfg = cfgfile.load_config(None)
-    out = cfgfile.apply_overrides(cfg, seed=7, frames=500,
-                                  orders=cfgfile.sf.TruncationOrders(5, 6, 7),
-                                  baseline=BASELINE_GROUND_RELAY)
-    assert (out.plan.seed, out.plan.frames) == (7, 500)
-    assert (out.orders.D, out.orders.R, out.orders.Q) == (5, 6, 7)
-    assert out.baseline == BASELINE_GROUND_RELAY
-    assert cfg.plan.seed == 0
-    with pytest.raises(ConfigError):
-        cfgfile.apply_overrides(cfg, frames=-1)
+def test_flags_win_over_the_file(tmp_path):
+    path = tmp_path / "exp.ini"
+    path.write_text(FULL_INI)
+    cfg = cfgfile.load_config(str(path))
+    flags = {("plan", "seed"): "7", ("plan", "frames"): "500",
+             ("truncation", "d"): "5", ("truncation", "r"): "6",
+             ("truncation", "q"): "7", ("mode", "baseline"): "ground_relay"}
+    assert cfgfile.load_config(str(path), flags) == dataclasses.replace(
+        cfg, plan=mc.SimulationPlan(frames=500, seed=7),
+        orders=sf.TruncationOrders(5, 6, 7), baseline=BASELINE_GROUND_RELAY)
+    with pytest.raises(ConfigError, match="frames must be >= 1"):
+        cfgfile.load_config(str(path), {("plan", "frames"): "-1"})
+    with pytest.raises(ConfigError, match=r"unknown key\(s\) in \[plan\]: workers"):
+        cfgfile.load_config(None, {("plan", "workers"): "2"})
+
+
+@pytest.mark.parametrize("flag,value,body,bad,error", [
+    ("--seed", "7", "[plan]\nseed = 7\n", "x", "--seed = 'x' is not"),
+    ("--frames", "500", "[plan]\nframes = 500\n", "1.5",
+     "--frames = '1.5' is not"),
+    ("--truncation", "30,20,15", "[truncation]\nd = 30\nr = 20\nq = 15\n",
+     "30,b,15", "--truncation = 'b' is not"),
+    # argparse once refused the upper-case spelling that the file accepts
+    ("--baseline", "UAV_CJ", "[mode]\nbaseline = UAV_CJ\n", "hovercraft",
+     "baseline must be one of"),
+    ("--baseline", "ground_relay", "[mode]\nbaseline = ground_relay\n", "",
+     "baseline must be one of"),
+], ids=["seed", "frames", "truncation", "baseline-upper", "baseline"])
+def test_each_flag_is_its_config_key(tmp_path, monkeypatch, capsys, flag,
+                                     value, body, bad, error):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_specfun_check",
+                        lambda cfg, out_dir: seen.append(cfg) or 0)
+    path = tmp_path / "exp.ini"
+    path.write_text(body)
+    assert run(["specfun-check", flag, value, "--out", str(tmp_path)]) == 0
+    assert run(["specfun-check", "--config", str(path),
+                "--out", str(tmp_path)]) == 0
+    assert seen[0] == seen[1]
+    assert run(["specfun-check", flag, bad, "--out", str(tmp_path)]) == 2
+    assert error in capsys.readouterr().err
 
 
 def test_dbw_conversion():
@@ -201,15 +236,15 @@ def test_dbw_conversion():
 
 
 def test_no_jamming_baseline_moves_the_whole_budget():
-    cfg = cfgfile.apply_overrides(cfgfile.load_config(None),
-                                  baseline=BASELINE_UAV_NO_CJ)
+    cfg = dataclasses.replace(cfgfile.load_config(None),
+                              baseline=BASELINE_UAV_NO_CJ)
     assert cfg.effective_protocol().allocation == 1.0
     assert cfg.effective_geometry() == cfg.geometry
 
 
 def test_ground_relay_baseline_projects_onto_the_line():
-    cfg = cfgfile.apply_overrides(cfgfile.load_config(None),
-                                  baseline=BASELINE_GROUND_RELAY)
+    cfg = dataclasses.replace(cfgfile.load_config(None),
+                              baseline=BASELINE_GROUND_RELAY)
     assert cfg.effective_geometry().relay == geo.NodePosition(2.0, 0.0, 0.0)
     # Every link is then ground-to-ground: pure scatter, NLOS exponent.
     links = cfg.build_links()
@@ -224,11 +259,8 @@ def test_ground_relay_projection_drops_off_line_offset():
         eavesdropper=base.geometry.eavesdropper,
         relay=geo.NodePosition(4.0, 3.0, 2.0),
     )
-    cfg = cfgfile.apply_overrides(
-        cfgfile.ExperimentConfig(
-            geometry=geom, environment=base.environment,
-            protocol=base.protocol, orders=base.orders, plan=base.plan),
-        baseline=BASELINE_GROUND_RELAY)
+    cfg = dataclasses.replace(base, geometry=geom,
+                              baseline=BASELINE_GROUND_RELAY)
     assert cfg.effective_geometry().relay == geo.NodePosition(4.0, 0.0, 0.0)
 
 
@@ -391,8 +423,8 @@ def test_altitude_sweep_builds_and_transforms_each_link_set_once(tmp_path,
         mc.clear_block_cache()
     assert code == 0
     altitudes = len(opt.SweepGrid().altitude_grid)
-    # plus the configuration's own link set, built twice on the way in
-    assert calls == {"build_links": altitudes + 2,
+    # plus the configuration's own link set, built once on the way in
+    assert calls == {"build_links": altitudes + 1,
                      "power_gains": 2 * altitudes}
 
 
@@ -456,6 +488,9 @@ def test_config_error_exit_codes(tmp_path):
         assert run(["sweep", "power", "--powers", powers]) == 2
     for body in ("[protocol]\npower_dbw = 4000\n",
                  "[protocol]\npower_dbw = inf\n",
+                 # once a traceback from the first metric, and exit 1
+                 "[protocol]\nnoise_power = 0\n",
+                 "[protocol]\nnoise_power = nan\n",
                  "[geometry]\nrelay = 0, 0, 0\n",
                  "[geometry]\neavesdropper = 10, 0, 0\n"):
         bad.write_text(body)
@@ -490,9 +525,10 @@ def test_baseline_override_checks_its_geometry(tmp_path):
     # on the source itself
     path = tmp_path / "exp.ini"
     path.write_text("[geometry]\nrelay = 0, 0, 1.5\n")
-    cfg = cfgfile.load_config(str(path))
+    cfgfile.load_config(str(path))
     with pytest.raises(ConfigError, match="ground_relay geometry.*distance"):
-        cfgfile.apply_overrides(cfg, baseline=BASELINE_GROUND_RELAY)
+        cfgfile.load_config(str(path), {("mode", "baseline"):
+                                        BASELINE_GROUND_RELAY})
     assert run(["sweep", "power", "--config", str(path),
                 "--baseline", BASELINE_GROUND_RELAY]) == 2
 

@@ -114,6 +114,10 @@ def test_config_full_allocation_disables_jamming():
         dict(total_power=1.0, processing_noise_ratio=-1.0),
         dict(total_power=1.0, rate_t=0.2, rate_s=0.2),
         dict(total_power=1.0, rate_t=0.1, rate_s=0.2),
+        # NaN fails every comparison, so each check is written to be True
+        # only for a number at or above its bound
+        dict(total_power=1.0, noise_power=np.nan),
+        dict(total_power=1.0, processing_noise_ratio=np.nan),
     ],
 )
 def test_config_validation(bad):

@@ -263,11 +263,12 @@ def _require_rayleigh_ground_links(links: LinkSet, metric: str) -> None:
     # the closed forms take exponential gains on the two ground links to the
     # eavesdropper, which holds only while source, destination and
     # eavesdropper all sit at altitude 0
-    for link in (links.ae, links.be):
-        if link.k_factor != 0.0:
+    for name in ("ae", "be"):
+        k_factor = getattr(links, name).k_factor
+        if k_factor != 0.0:
             raise ValueError(
-                f"{metric} assumes Rayleigh fading on link {link.link_id}, "
-                f"got K_{link.link_id} = {link.k_factor}"
+                f"{metric} assumes Rayleigh fading on link {name}, "
+                f"got K_{name} = {k_factor}"
             )
 
 

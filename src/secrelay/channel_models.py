@@ -25,20 +25,15 @@ from .geometry import (
     rice_k_factor,
 )
 
-LINK_IDS = ("au", "ub", "ue", "ae", "be")
-
 
 @dataclass(frozen=True)
 class LinkModel:
     """Small-scale law (k_factor) and large-scale gain of a single link."""
 
-    link_id: str
     k_factor: float
     large_scale_gain: float
 
     def __post_init__(self) -> None:
-        if self.link_id not in LINK_IDS:
-            raise ValueError(f"unknown link_id {self.link_id!r}")
         if self.k_factor < 0:
             raise ValueError(f"k_factor must be >= 0, got {self.k_factor}")
         if not self.large_scale_gain > 0:
@@ -56,12 +51,6 @@ class LinkSet:
     ue: LinkModel
     ae: LinkModel
     be: LinkModel
-
-    def __post_init__(self) -> None:
-        for name in LINK_IDS:
-            held = getattr(self, name).link_id
-            if held != name:
-                raise ValueError(f"field {name!r} holds a LinkModel for {held!r}")
 
     def ordered(self) -> tuple[LinkModel, ...]:
         """Links in the fixed (au, ub, ue, ae, be) order the gain kernel relies on."""
@@ -136,18 +125,17 @@ def squared_rician_cdf(x, k_factor: float):
     return float(out[0]) if scalar else out
 
 
-def _link(link_id: str, a: NodePosition, b: NodePosition, env: Environment) -> LinkModel:
+def _link(a: NodePosition, b: NodePosition, env: Environment) -> LinkModel:
     d = distance(a, b)
     if a.z == 0.0 and b.z == 0.0:
         # ground-to-ground: pure scatter, NLOS exponent
-        k = 0.0
-        alpha = path_loss_exponent(0.0, env, is_ground_to_ground=True)
+        k, alpha = 0.0, env.alpha_nlos
     else:
         ground, aerial = (a, b) if a.z <= b.z else (b, a)
         theta = elevation_angle(ground, aerial)
         k = rice_k_factor(theta, env)
         alpha = path_loss_exponent(theta, env)
-    return LinkModel(link_id=link_id, k_factor=k, large_scale_gain=path_loss_gain(d, alpha))
+    return LinkModel(k_factor=k, large_scale_gain=path_loss_gain(d, alpha))
 
 
 def build_links(geom: NetworkGeometry, env: Environment) -> LinkSet:
@@ -157,9 +145,9 @@ def build_links(geom: NetworkGeometry, env: Environment) -> LinkSet:
     z = 0, so lowering the relay to the ground reclassifies its links too.
     """
     return LinkSet(
-        au=_link("au", geom.source, geom.relay, env),
-        ub=_link("ub", geom.relay, geom.destination, env),
-        ue=_link("ue", geom.relay, geom.eavesdropper, env),
-        ae=_link("ae", geom.source, geom.eavesdropper, env),
-        be=_link("be", geom.destination, geom.eavesdropper, env),
+        au=_link(geom.source, geom.relay, env),
+        ub=_link(geom.relay, geom.destination, env),
+        ue=_link(geom.relay, geom.eavesdropper, env),
+        ae=_link(geom.source, geom.eavesdropper, env),
+        be=_link(geom.destination, geom.eavesdropper, env),
     )

@@ -229,7 +229,7 @@ def _sweep_lambda_beta(cfg: ExperimentConfig):
 def _sweep_placement(cfg: ExperimentConfig):
     curve = opt.placement_sweep(cfg.effective_protocol(),
                                 cfg.effective_geometry(), cfg.plan,
-                                "horizontal", env=cfg.environment)
+                                env=cfg.environment)
     header = ["distance_ratio", "asr_fixed_mc", "asr_fixed_se",
               "asr_best_mc", "asr_best_se", "best_allocation",
               "asr_policy_mc", "asr_policy_se", "policy_fallback_share",

@@ -225,22 +225,26 @@ def load_config(path: str | None = None,
             )
 
     fields: dict[str, dict] = collections.defaultdict(dict)
-    try:
-        for section, values in sections.items():
-            for key, raw in values.items():
-                target, field, parse = _KEYS[section][key]
-                fields[target][field] = parse(raw, where[section, key])
-        return ExperimentConfig(
-            geometry=replace(default_geometry(), **fields["geometry"]),
-            environment=geo.Environment(**fields["environment"]),
-            protocol=pr.ProtocolConfig(**{
-                "total_power": dbw_to_watts(DEFAULT_POWER_DBW),
-                **fields["protocol"]}),
-            orders=sf.TruncationOrders(**fields["orders"]),
-            plan=mc.SimulationPlan(**fields["plan"]),
-            **fields["experiment"],
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    setters: dict[str, dict] = collections.defaultdict(dict)
+    for section, values in sections.items():
+        for key, raw in values.items():
+            target, field, parse = _KEYS[section][key]
+            fields[target][field] = parse(raw, where[section, key])
+            setters[target][where[section, key]] = None
+
+    def build(target, make, **defaults):
+        # an object's error names the keys or flags that set it
+        try:
+            return make(**{**defaults, **fields[target]})
+        except ValueError as exc:
+            raise ConfigError(f"{', '.join(setters[target])}: {exc}") from None
+
+    return ExperimentConfig(
+        geometry=replace(default_geometry(), **fields["geometry"]),
+        environment=build("environment", geo.Environment),
+        protocol=build("protocol", pr.ProtocolConfig,
+                       total_power=dbw_to_watts(DEFAULT_POWER_DBW)),
+        orders=build("orders", sf.TruncationOrders),
+        plan=build("plan", mc.SimulationPlan),
+        **fields["experiment"],
+    )

@@ -14,6 +14,14 @@ K_FACTOR_LINEAR = "linear"
 K_FACTOR_DECIBEL = "decibel"
 
 
+def require_finite(obj, names) -> None:
+    """ValueError naming the first attribute of obj in names that is not finite."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class NodePosition:
     """A point in normalized 3D space; ground nodes sit at z = 0."""
@@ -25,6 +33,7 @@ class NodePosition:
     def __post_init__(self) -> None:
         if self.z < 0:
             raise ValueError(f"node altitude must be >= 0, got z={self.z}")
+        require_finite(self, ("x", "y", "z"))
 
 
 @dataclass(frozen=True)
@@ -57,6 +66,8 @@ class Environment:
                 "k_factor_interpretation must be 'linear' or 'decibel', got "
                 f"{self.k_factor_interpretation!r}"
             )
+        require_finite(self, ("alpha_los", "alpha_nlos", "omega1", "omega2",
+                              "kappa_min", "kappa_max"))
 
 
 @dataclass(frozen=True)
@@ -118,13 +129,9 @@ def rice_k_factor(theta: float, env: Environment) -> float:
     return k
 
 
-def path_loss_exponent(
-    theta: float, env: Environment, is_ground_to_ground: bool = False
-) -> float:
-    """Path-loss exponent: alpha_nlos exactly for ground-to-ground links,
-    otherwise the elevation-angle sigmoid, which lies in (alpha_los, alpha_nlos)."""
-    if is_ground_to_ground:
-        return env.alpha_nlos
+def path_loss_exponent(theta: float, env: Environment) -> float:
+    """Path-loss exponent of an air-to-ground link at elevation angle theta:
+    a sigmoid that lies in (alpha_los, alpha_nlos)."""
     if not 0.0 <= theta <= _HALF_PI:
         raise ValueError(f"theta must be in [0, pi/2], got {theta}")
     span = env.alpha_los - env.alpha_nlos

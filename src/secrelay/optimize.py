@@ -6,8 +6,8 @@ frame's SINRs, and the closed form lambda* = 1 / (1 + sqrt(nu)) predicts
 the allocation that maximizes its SINR gap ratio
 (gamma_main - gamma_eve) / (1 + gamma_eve), whose sign matches the
 instantaneous secrecy rate. The ergodic layer searches Monte Carlo estimates
-over parameter grids: a joint (allocation, split) search and relay placement
-sweeps along the source-destination line or the vertical axis.
+over parameter grids: a joint (allocation, split) search and a relay
+placement sweep along the source-destination line.
 
 The per-frame allocation policy applies lambda* where nu >= 1 and
 otherwise the best allocation on the grid 0.01, 0.02, ..., 0.99, located
@@ -355,17 +355,17 @@ def grid_search_opsa(cfg_template: pr.ProtocolConfig, links: cm.LinkSet,
 
 @dataclass(frozen=True, eq=False)
 class PlacementCurve:
-    """ASR against relay position, under four allocation strategies.
+    """ASR against the relay's position on the source-destination line,
+    under four allocation strategies.
 
-    positions are normalized distances (horizontal axis) or absolute
-    altitudes. asr_fixed keeps the template allocation; asr_best_allocation
-    re-optimizes the allocation grid per position (best_allocation records
-    the winner); asr_policy applies the per-frame closed form with
-    policy_fallback_share logging its nu < 1 fallback rate; asr_no_jamming
-    hands the whole budget to the source.
+    positions are normalized distances from the source. asr_fixed keeps the
+    template allocation; asr_best_allocation re-optimizes the allocation
+    grid per position (best_allocation records the winner); asr_policy
+    applies the per-frame closed form with policy_fallback_share logging its
+    nu < 1 fallback rate; asr_no_jamming hands the whole budget to the
+    source.
     """
 
-    axis: str
     positions: np.ndarray
     asr_fixed: np.ndarray
     asr_fixed_se: np.ndarray
@@ -380,52 +380,28 @@ class PlacementCurve:
 
 
 def placement_sweep(cfg: pr.ProtocolConfig, geometry_template: geo.NetworkGeometry,
-                    plan: mc.SimulationPlan, axis: str,
-                    grid: SweepGrid | None = None,
+                    plan: mc.SimulationPlan, grid: SweepGrid | None = None,
                     env: geo.Environment | None = None) -> PlacementCurve:
-    """ASR curve along one placement axis, links rebuilt per position.
-
-    The horizontal axis slides the relay along the source-destination line
-    at the template's altitude, parametrized by the normalized distance
-    from the source. The altitude axis moves it vertically above the
-    template's ground coordinates.
+    """ASR curve with the relay slid along the source-destination line at
+    the template's altitude, one grid.distance_grid position at a time,
+    links rebuilt per position.
     """
-    if axis not in ("horizontal", "altitude"):
-        raise ValueError(f"axis must be 'horizontal' or 'altitude', got {axis!r}")
     grid = grid if grid is not None else SweepGrid()
     env = env if env is not None else geo.Environment()
-    positions = np.asarray(grid.distance_grid if axis == "horizontal"
-                           else grid.altitude_grid)
-    n = positions.size
-    curve = {name: np.empty(n) for name in
-             ("asr_fixed", "asr_fixed_se", "asr_best_allocation",
-              "asr_best_allocation_se", "best_allocation", "asr_policy",
-              "asr_policy_se", "policy_fallback_share", "asr_no_jamming",
-              "asr_no_jamming_se")}
-    for k, value in enumerate(positions):
-        if axis == "horizontal":
-            geom_k = geo.move_relay(geometry_template, along=float(value))
-        else:
-            geom_k = geo.move_relay(geometry_template, altitude=float(value))
-        links_k = cm.build_links(geom_k, env)
+    positions = np.asarray(grid.distance_grid)
+    rows = []
+    for along in positions:
+        links_k = cm.build_links(
+            geo.move_relay(geometry_template, along=float(along)), env)
         fixed = mc.estimate_asr(cfg, links_k, plan)
-        curve["asr_fixed"][k] = fixed.mean
-        curve["asr_fixed_se"][k] = fixed.std_error
-        best, best_alloc = None, np.nan
-        for allocation in grid.allocation_grid:
-            est = mc.estimate_asr(replace(cfg, allocation=allocation),
-                                  links_k, plan)
-            if best is None or est.mean > best.mean:
-                best, best_alloc = est, allocation
-        curve["asr_best_allocation"][k] = best.mean
-        curve["asr_best_allocation_se"][k] = best.std_error
-        curve["best_allocation"][k] = best_alloc
+        # max keeps the first of equal means, as the grid scan did
+        best_alloc, best = max(
+            ((a, mc.estimate_asr(replace(cfg, allocation=a), links_k, plan))
+             for a in grid.allocation_grid), key=lambda pair: pair[1].mean)
         policy = estimate_asr_allocation_policy(cfg, links_k, plan)
-        curve["asr_policy"][k] = policy.mean
-        curve["asr_policy_se"][k] = policy.std_error
-        curve["policy_fallback_share"][k] = allocation_policy_fallback_share(
-            cfg, links_k, plan)
+        share = allocation_policy_fallback_share(cfg, links_k, plan)
         no_jam = mc.estimate_asr(replace(cfg, allocation=1.0), links_k, plan)
-        curve["asr_no_jamming"][k] = no_jam.mean
-        curve["asr_no_jamming_se"][k] = no_jam.std_error
-    return PlacementCurve(axis=axis, positions=positions, **curve)
+        rows.append((fixed.mean, fixed.std_error, best.mean, best.std_error,
+                     best_alloc, policy.mean, policy.std_error, share,
+                     no_jam.mean, no_jam.std_error))
+    return PlacementCurve(positions, *np.array(rows).T)

@@ -25,6 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel_models import LinkSet
+from .geometry import require_finite
 
 _HALF_PER_LN2 = 0.5 / math.log(2.0)
 
@@ -73,6 +74,9 @@ class ProtocolConfig:
             raise ValueError(
                 f"need rate_t > rate_s > 0, got rate_t={self.rate_t}, rate_s={self.rate_s}"
             )
+        require_finite(self, ("total_power", "allocation", "power_split",
+                              "harvester_efficiency", "noise_power",
+                              "processing_noise_ratio", "rate_t", "rate_s"))
 
     @property
     def source_power(self) -> float:

@@ -157,7 +157,7 @@ def test_asr_grid_peak_location():
 
 def test_placement_peak_and_jamming_dominance():
     start = time.perf_counter()
-    curve = opt.placement_sweep(CFG20, GEOM, PLAN, axis="horizontal")
+    curve = opt.placement_sweep(CFG20, GEOM, PLAN)
     elapsed = time.perf_counter() - start
     assert elapsed < 180.0
     positions = np.asarray(curve.positions)

@@ -83,7 +83,7 @@ def links_with(au=None, ub=None, ue=None, ae=None, be=None):
     fields = {}
     for name, override in spec_map.items():
         k, gain = override if override is not None else (0.0, 1.0)
-        fields[name] = cm.LinkModel(name, k, gain)
+        fields[name] = cm.LinkModel(k, gain)
     return cm.LinkSet(**fields)
 
 

@@ -192,22 +192,14 @@ def test_sampler_deterministic_los_limit():
 
 def test_link_model_validation():
     with pytest.raises(ValueError):
-        cm.LinkModel("xy", 1.0, 0.1)
+        cm.LinkModel(-1.0, 0.1)
     with pytest.raises(ValueError):
-        cm.LinkModel("au", -1.0, 0.1)
-    with pytest.raises(ValueError):
-        cm.LinkModel("au", 1.0, 0.0)
-
-
-def test_link_set_field_consistency():
-    links = cm.build_links(DEFAULT_GEOMETRY, ENV)
-    with pytest.raises(ValueError):
-        cm.LinkSet(au=links.ub, ub=links.au, ue=links.ue, ae=links.ae, be=links.be)
+        cm.LinkModel(1.0, 0.0)
 
 
 def test_build_links_default_layout():
     links = cm.build_links(DEFAULT_GEOMETRY, ENV)
-    assert [l.link_id for l in links.ordered()] == list(cm.LINK_IDS)
+    assert links.ordered() == (links.au, links.ub, links.ue, links.ae, links.be)
     for name, (k, gain) in LINK_TABLE.items():
         link = getattr(links, name)
         assert link.k_factor == pytest.approx(k, rel=1e-14, abs=0 if k else 1e-300)
@@ -233,6 +225,20 @@ def test_build_links_grounded_relay():
     assert links.au.k_factor == 0.0
     assert links.ub.k_factor == 0.0
     assert links.au.large_scale_gain == pytest.approx(2.0 ** -3.5, rel=1e-14)
+
+
+def test_ground_to_ground_link_is_rayleigh_with_nlos_exponent():
+    # both ends at z = 0: K = 0 and exactly alpha_nlos, not the sigmoid at
+    # theta = 0, which stays below alpha_nlos
+    env = geo.Environment(alpha_nlos=4.1)
+    links = cm.build_links(DEFAULT_GEOMETRY, env)
+    for name, a in (("ae", DEFAULT_GEOMETRY.source),
+                    ("be", DEFAULT_GEOMETRY.destination)):
+        link = getattr(links, name)
+        d = geo.distance(a, DEFAULT_GEOMETRY.eavesdropper)
+        assert link.k_factor == 0.0
+        assert link.large_scale_gain == d ** -4.1
+    assert geo.path_loss_exponent(0.0, env) < 4.1
 
 
 def test_build_links_rejects_coincident_nodes():

@@ -144,6 +144,18 @@ def test_readme_config_block_loads_to_the_defaults(tmp_path):
     ("[protocol]\nnoise_power = 0\n", "noise_power must be > 0"),
     ("[protocol]\nnoise_power = nan\n", "noise_power must be >= 0, got nan"),
     ("[protocol]\nprocessing_noise_ratio = nan\n", "processing_noise_ratio"),
+    # a non-finite value is refused where it enters, by the key that set it
+    ("[protocol]\nnoise_power = inf\n",
+     r"\[protocol\] noise_power: noise_power must be finite, got inf"),
+    ("[protocol]\nprocessing_noise_ratio = inf\n",
+     r"\[protocol\] processing_noise_ratio: .* must be finite, got inf"),
+    ("[protocol]\nrate_t = inf\n", r"\[protocol\] rate_t: rate_t must be finite"),
+    ("[environment]\nkappa_max = inf\n",
+     r"\[environment\] kappa_max: kappa_max must be finite, got inf"),
+    ("[environment]\nalpha_nlos = inf\n", r"\[environment\] alpha_nlos: "),
+    ("[environment]\nomega1 = nan\n", r"\[environment\] omega1: omega1 must be finite"),
+    ("[environment]\nomega2 = inf\n", r"\[environment\] omega2: omega2 must be finite"),
+    ("[geometry]\nrelay = nan, 0, 1.5\n", r"\[geometry\] relay: x must be finite, got nan"),
     ("[plan]\nworkers = 2\n", "unknown key"),
     # names are checked before values, whatever the section order
     ("[protocol]\nallocation = high\n[plan]\nworkers = 2\n", "unknown key"),
@@ -206,7 +218,15 @@ def test_flags_win_over_the_file(tmp_path):
      "baseline must be one of"),
     ("--baseline", "ground_relay", "[mode]\nbaseline = ground_relay\n", "",
      "baseline must be one of"),
-], ids=["seed", "frames", "truncation", "baseline-upper", "baseline"])
+    # a dataclass error names the flag that set the value
+    ("--seed", "7", "[plan]\nseed = 7\n", "-1",
+     "--seed: seed must be a 64-bit unsigned integer, got -1"),
+    ("--frames", "500", "[plan]\nframes = 500\n", "-5",
+     "--frames: frames must be >= 1, got -5"),
+    ("--truncation", "30,20,15", "[truncation]\nd = 30\nr = 20\nq = 15\n",
+     "0,5,5", "--truncation: truncation orders must be >= 1"),
+], ids=["seed", "frames", "truncation", "baseline-upper", "baseline",
+        "seed-range", "frames-range", "truncation-range"])
 def test_each_flag_is_its_config_key(tmp_path, monkeypatch, capsys, flag,
                                      value, body, bad, error):
     seen = []

@@ -24,6 +24,9 @@ def node(x, y, z=0.0):
 def test_node_rejects_negative_altitude():
     with pytest.raises(ValueError):
         geo.NodePosition(0.0, 0.0, -0.1)
+    for bad in ((math.nan, 0.0, 1.5), (0.0, math.inf, 0.0), (0.0, 0.0, math.nan)):
+        with pytest.raises(ValueError, match="must be finite"):
+            geo.NodePosition(*bad)
 
 
 def test_environment_rejects_bad_constants():
@@ -35,6 +38,10 @@ def test_environment_rejects_bad_constants():
         geo.Environment(omega2=0.0)
     with pytest.raises(ValueError):
         geo.Environment(k_factor_interpretation="log")
+    for name, bad in (("kappa_max", math.inf), ("alpha_nlos", math.inf),
+                      ("omega1", math.nan), ("omega2", math.inf)):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            geo.Environment(**{name: bad})
 
 
 # ---------------------------------------------------------------------------
@@ -120,10 +127,6 @@ def test_rice_k_factor_domain():
 
 # ---------------------------------------------------------------------------
 # path-loss exponent
-
-
-def test_path_loss_exponent_ground_override():
-    assert geo.path_loss_exponent(0.0, ENV, is_ground_to_ground=True) == 3.5
 
 
 def test_path_loss_exponent_endpoint_values():

@@ -204,11 +204,11 @@ def test_no_secrecy_margin_forces_outage():
 def test_dominant_eavesdropper_kills_secrecy_rate():
     weak = 1e-6
     links = cm.LinkSet(
-        au=cm.LinkModel("au", 0.0, weak),
-        ub=cm.LinkModel("ub", 0.0, weak),
-        ue=cm.LinkModel("ue", 0.0, 1.0),
-        ae=cm.LinkModel("ae", 0.0, 1.0),
-        be=cm.LinkModel("be", 0.0, 1e-9),
+        au=cm.LinkModel(0.0, weak),
+        ub=cm.LinkModel(0.0, weak),
+        ue=cm.LinkModel(0.0, 1.0),
+        ae=cm.LinkModel(0.0, 1.0),
+        be=cm.LinkModel(0.0, 1e-9),
     )
     cfg = pr.ProtocolConfig(total_power=100.0, allocation=1.0)
     est = mc.estimate_asr(cfg, links, mc.SimulationPlan(frames=5_000, seed=2))
@@ -382,7 +382,7 @@ def test_placement_sweep_draws_each_block_once(draws):
     plan = mc.SimulationPlan(frames=mc.BLOCK_FRAMES + 100, seed=42)
     grid = opt.SweepGrid(allocation_grid=(0.3, 0.6, 0.9),
                          distance_grid=(0.2, 0.5, 0.8))
-    opt.placement_sweep(CFG, GEOM, plan, "horizontal", grid)
+    opt.placement_sweep(CFG, GEOM, plan, grid)
     assert draws == {(42, 0): 1, (42, 1): 1}
 
 
@@ -497,7 +497,7 @@ def test_placement_sweep_computes_gains_once_per_block_and_position(gain_calls):
     plan = mc.SimulationPlan(frames=mc.BLOCK_FRAMES + 100, seed=47)
     grid = opt.SweepGrid(allocation_grid=(0.3, 0.6, 0.9),
                          distance_grid=(0.2, 0.5, 0.8))
-    opt.placement_sweep(CFG, GEOM, plan, "horizontal", grid)
+    opt.placement_sweep(CFG, GEOM, plan, grid)
     # each position moves the relay and with it the Rice factors
     assert len(gain_calls) == 6
     assert set(gain_calls.values()) == {1}
@@ -560,7 +560,7 @@ def test_placement_sweep_computes_terms_once_per_block_and_position(terms_calls)
     plan = mc.SimulationPlan(frames=mc.BLOCK_FRAMES + 100, seed=58)
     grid = opt.SweepGrid(allocation_grid=(0.3, 0.6, 0.9),
                          distance_grid=(0.2, 0.5, 0.8))
-    opt.placement_sweep(CFG, GEOM, plan, "horizontal", grid)
+    opt.placement_sweep(CFG, GEOM, plan, grid)
     assert terms_calls == {(mc.BLOCK_FRAMES, 0.5): 3, (100, 0.5): 3}
 
 
@@ -568,8 +568,8 @@ def scaled_link(name, k_factor=1.0, loss=1.0):
     """LINKS with one link's K factor and large-scale gain scaled."""
     link = getattr(LINKS, name)
     return cm.LinkSet(**{
-        n: getattr(LINKS, n) for n in cm.LINK_IDS if n != name
-    }, **{name: cm.LinkModel(name, k_factor * link.k_factor,
+        n: getattr(LINKS, n) for n in ("au", "ub", "ue", "ae", "be") if n != name
+    }, **{name: cm.LinkModel(k_factor * link.k_factor,
                              loss * link.large_scale_gain)})
 
 

@@ -30,9 +30,9 @@ CFG20 = pr.ProtocolConfig(total_power=100.0)
 
 # Line-of-sight losses collapsed to unity: isolates the small-scale ratios.
 UNIT_LINKS = cm.LinkSet(
-    au=cm.LinkModel("au", 0.0, 1.0), ub=cm.LinkModel("ub", 0.0, 1.0),
-    ue=cm.LinkModel("ue", 0.0, 1.0), ae=cm.LinkModel("ae", 0.0, 1.0),
-    be=cm.LinkModel("be", 0.0, 1.0),
+    au=cm.LinkModel(0.0, 1.0), ub=cm.LinkModel(0.0, 1.0),
+    ue=cm.LinkModel(0.0, 1.0), ae=cm.LinkModel(0.0, 1.0),
+    be=cm.LinkModel(0.0, 1.0),
 )
 
 FRAMES = draw_frames(LINKS, mc.block_stream(2024, 0), 100)
@@ -237,9 +237,9 @@ def test_closed_form_accurate_under_its_premise():
     # the power so amplified noise is negligible: the regime the closed form
     # is derived for. There it should match the exact argmax almost always.
     dominated = cm.LinkSet(
-        au=cm.LinkModel("au", 0.0, 1.0), ub=cm.LinkModel("ub", 0.0, 1.0),
-        ue=cm.LinkModel("ue", 0.0, 1.0), ae=cm.LinkModel("ae", 0.0, 1e-6),
-        be=cm.LinkModel("be", 0.0, 1.0),
+        au=cm.LinkModel(0.0, 1.0), ub=cm.LinkModel(0.0, 1.0),
+        ue=cm.LinkModel(0.0, 1.0), ae=cm.LinkModel(0.0, 1e-6),
+        be=cm.LinkModel(0.0, 1.0),
     )
     frames = draw_frames(dominated, mc.block_stream(2024, 2), 100)
     cfg = pr.ProtocolConfig(total_power=1e5)
@@ -462,7 +462,7 @@ def test_placement_sweep_makes_sinr_terms_once_per_block(monkeypatch):
     monkeypatch.setattr(pr, "sinr_terms", counting)
     mc.clear_block_cache()
     opt.placement_sweep(cfg.effective_protocol(), cfg.effective_geometry(),
-                        mc.SimulationPlan(frames=16384, seed=0), "horizontal",
+                        mc.SimulationPlan(frames=16384, seed=0),
                         env=cfg.environment)
     mc.clear_block_cache()
     assert len(made) == 38
@@ -555,8 +555,7 @@ def test_placement_columns_consistent():
     plan = mc.SimulationPlan(frames=4096, seed=9)
     grid = opt.SweepGrid(allocation_grid=(0.1, 0.5, 0.9),
                          distance_grid=(0.2, 0.9))
-    curve = opt.placement_sweep(CFG20, GEOM, plan, "horizontal", grid)
-    assert curve.axis == "horizontal"
+    curve = opt.placement_sweep(CFG20, GEOM, plan, grid)
     assert curve.positions.shape == (2,)
     # The template allocation sits on the grid, so the best column can
     # never fall below the fixed one under shared draws.
@@ -579,15 +578,3 @@ def test_placement_columns_consistent():
         replace(CFG20, allocation=1.0), links_end, plan).mean
     assert curve.asr_policy[1] == opt.estimate_asr_allocation_policy(
         CFG20, links_end, plan).mean
-
-
-def test_placement_altitude_moves_only_height():
-    plan = mc.SimulationPlan(frames=4096, seed=9)
-    grid = opt.SweepGrid(altitude_grid=(1.5, 4.0))
-    curve = opt.placement_sweep(CFG20, GEOM, plan, "altitude", grid)
-    assert curve.axis == "altitude"
-    # First grid point equals the template drop, so the fixed column must
-    # reproduce the plain estimator there.
-    assert curve.asr_fixed[0] == mc.estimate_asr(CFG20, LINKS, plan).mean
-    with pytest.raises(ValueError):
-        opt.placement_sweep(CFG20, GEOM, plan, "diagonal", grid)

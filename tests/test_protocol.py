@@ -27,7 +27,7 @@ GEOM = geo.NetworkGeometry(
 )
 LINKS = cm.build_links(GEOM, ENV)
 
-UNIT_LINKS = cm.LinkSet(*[cm.LinkModel(i, 0.0, 1.0) for i in cm.LINK_IDS])
+UNIT_LINKS = cm.LinkSet(*[cm.LinkModel(0.0, 1.0) for _ in range(5)])
 ONES = Frame(1.0, 1.0, 1.0, 1.0, 1.0)
 
 
@@ -118,6 +118,10 @@ def test_config_full_allocation_disables_jamming():
         # only for a number at or above its bound
         dict(total_power=1.0, noise_power=np.nan),
         dict(total_power=1.0, processing_noise_ratio=np.nan),
+        # every float field is finite
+        dict(total_power=1.0, noise_power=np.inf),
+        dict(total_power=1.0, processing_noise_ratio=np.inf),
+        dict(total_power=1.0, rate_t=np.inf),
     ],
 )
 def test_config_validation(bad):
@@ -229,9 +233,8 @@ def test_sinr_main_unimodal_in_beta():
     betas = np.linspace(0.01, 0.99, 99)
     frames = random_frames(16, 5)
     for i in range(16):
-        one = Frame(
-            *[float(np.asarray(getattr(frames, f"s_{n}"))[i]) for n in cm.LINK_IDS]
-        )
+        one = Frame(*[float(np.asarray(getattr(frames, f"s_{n}"))[i])
+                      for n in ("au", "ub", "ue", "ae", "be")])
         vals = np.array([
             frame_sinrs(
                 pr.ProtocolConfig(total_power=100.0, power_split=float(b)), one, LINKS
@@ -362,11 +365,11 @@ def test_secrecy_quantities_identities():
 
 def test_secrecy_rate_clamps_when_eavesdropper_wins():
     strong_eve = cm.LinkSet(
-        au=cm.LinkModel("au", 0.0, 1e-6),
-        ub=cm.LinkModel("ub", 0.0, 1e-6),
-        ue=cm.LinkModel("ue", 0.0, 1.0),
-        ae=cm.LinkModel("ae", 0.0, 1.0),
-        be=cm.LinkModel("be", 0.0, 1e-9),
+        au=cm.LinkModel(0.0, 1e-6),
+        ub=cm.LinkModel(0.0, 1e-6),
+        ue=cm.LinkModel(0.0, 1.0),
+        ae=cm.LinkModel(0.0, 1.0),
+        be=cm.LinkModel(0.0, 1e-9),
     )
     cfg = pr.ProtocolConfig(total_power=100.0)
     gm, g1, g2 = frame_sinrs(cfg, ONES, strong_eve)
@@ -378,8 +381,8 @@ def test_secrecy_rate_clamps_when_eavesdropper_wins():
 def test_secrecy_rate_approaches_main_capacity_without_leaks():
     deaf_eve = cm.LinkSet(
         au=LINKS.au, ub=LINKS.ub,
-        ue=cm.LinkModel("ue", 0.0, 1e-30),
-        ae=cm.LinkModel("ae", 0.0, 1e-30),
+        ue=cm.LinkModel(0.0, 1e-30),
+        ae=cm.LinkModel(0.0, 1e-30),
         be=LINKS.be,
     )
     cfg = pr.ProtocolConfig(total_power=100.0)

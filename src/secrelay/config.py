@@ -33,7 +33,16 @@ DEFAULT_POWER_DBW = 20.0
 
 
 class ConfigError(ValueError):
-    """Malformed, unknown, or inconsistent configuration input."""
+    """Malformed, unknown, or inconsistent configuration input.
+
+    parts names the ExperimentConfig parts whose values a check across them
+    refused, as the targets of _KEYS ("experiment" is the baseline), so
+    that load_config can name the keys or flags that set them.
+    """
+
+    def __init__(self, message: str, parts: tuple[str, ...] = ()) -> None:
+        super().__init__(message)
+        self.parts = parts
 
 
 def default_geometry() -> geo.NetworkGeometry:
@@ -77,17 +86,19 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.baseline not in BASELINES:
             raise ConfigError(
-                f"baseline must be one of {BASELINES}, got {self.baseline!r}"
+                f"baseline must be one of {BASELINES}, got {self.baseline!r}",
+                ("experiment",),
             )
         # every metric needs noise; ProtocolConfig alone allows none
         try:
             pr.require_noise(self.protocol)
         except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+            raise ConfigError(str(exc), ("protocol",)) from None
         try:
             self.build_links()
         except ValueError as exc:
-            raise ConfigError(f"{self.baseline} geometry: {exc}") from None
+            raise ConfigError(f"{self.baseline} geometry: {exc}",
+                              ("geometry", "environment", "experiment")) from None
 
     def effective_geometry(self) -> geo.NetworkGeometry:
         if self.baseline != BASELINE_GROUND_RELAY:
@@ -232,19 +243,29 @@ def load_config(path: str | None = None,
             fields[target][field] = parse(raw, where[section, key])
             setters[target][where[section, key]] = None
 
+    def named(targets) -> str:
+        return ", ".join(where for target in targets for where in setters[target])
+
     def build(target, make, **defaults):
         # an object's error names the keys or flags that set it
         try:
             return make(**{**defaults, **fields[target]})
         except ValueError as exc:
-            raise ConfigError(f"{', '.join(setters[target])}: {exc}") from None
+            raise ConfigError(f"{named([target])}: {exc}") from None
 
-    return ExperimentConfig(
-        geometry=replace(default_geometry(), **fields["geometry"]),
-        environment=build("environment", geo.Environment),
-        protocol=build("protocol", pr.ProtocolConfig,
-                       total_power=dbw_to_watts(DEFAULT_POWER_DBW)),
-        orders=build("orders", sf.TruncationOrders),
-        plan=build("plan", mc.SimulationPlan),
-        **fields["experiment"],
-    )
+    try:
+        return ExperimentConfig(
+            geometry=replace(default_geometry(), **fields["geometry"]),
+            environment=build("environment", geo.Environment),
+            protocol=build("protocol", pr.ProtocolConfig,
+                           total_power=dbw_to_watts(DEFAULT_POWER_DBW)),
+            orders=build("orders", sf.TruncationOrders),
+            plan=build("plan", mc.SimulationPlan),
+            **fields["experiment"],
+        )
+    except ConfigError as exc:
+        # so does a check across objects, unless only defaults fed it
+        keys = named(exc.parts)
+        if not keys:
+            raise
+        raise ConfigError(f"{keys}: {exc}", exc.parts) from None

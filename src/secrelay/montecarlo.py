@@ -215,6 +215,23 @@ def _nonfinite(values: np.ndarray) -> int:
     return int(np.count_nonzero(~np.isfinite(values)))
 
 
+def _nonfinite_sum(gamma_m: np.ndarray, gamma_e: np.ndarray) -> int:
+    """Frames where gamma_m + gamma_e is NaN or infinite, without forming it
+    unless one is.
+
+    SINRs are >= 0 or NaN, so no frame's sum exceeds the sum of the two
+    totals: when that is finite, every frame's is. Only otherwise are the
+    frames counted one by one, on gamma_m + gamma_e itself, so the count
+    is exact; it includes frames where both SINRs are finite but their sum
+    overflows.
+    """
+    with np.errstate(over="ignore"):
+        if math.isfinite(float(np.add.reduce(gamma_m))
+                         + float(np.add.reduce(gamma_e))):
+            return 0
+    return int(np.count_nonzero(~np.isfinite(gamma_m + gamma_e)))
+
+
 class NonFiniteSinrError(ValueError):
     """Frames whose SINR left double range: the powers or gains are too large."""
 
@@ -244,7 +261,7 @@ def _estimate(cfg: ProtocolConfig, links: LinkSet, plan: SimulationPlan,
                                                            terms)
         sinrs = [gamma_m, np.maximum(gamma_1, gamma_2)]
         del gamma_m, gamma_1, gamma_2  # so that emptying sinrs frees them
-        refused += _nonfinite(sinrs[0] + sinrs[1])
+        refused += _nonfinite_sum(*sinrs)
         if not refused:
             frame_values = values(gains, terms, sinrs)
             hits = frame_values.dtype == bool

@@ -3,10 +3,13 @@
 import dataclasses
 import json
 import math
+import os
 import pathlib
 import platform
 import re
 import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -139,9 +142,11 @@ def test_readme_config_block_loads_to_the_defaults(tmp_path):
     # a node error names the key it came from
     ("[geometry]\neavesdropper = 2 0 -1\n", "eavesdropper: node altitude must be >= 0"),
     ("[mode]\nresidual_epsilon = maybe\n", "on/off"),
-    ("[mode]\nbaseline = hovercraft\n", "baseline"),
+    ("[mode]\nbaseline = hovercraft\n",
+     r"\[mode\] baseline: baseline must be one of"),
     ("[plan]\nframes = -5\n", "frames"),
-    ("[protocol]\nnoise_power = 0\n", "noise_power must be > 0"),
+    ("[protocol]\nnoise_power = 0\n",
+     r"\[protocol\] noise_power: noise_power must be > 0"),
     ("[protocol]\nnoise_power = nan\n", "noise_power must be >= 0, got nan"),
     ("[protocol]\nprocessing_noise_ratio = nan\n", "processing_noise_ratio"),
     # a non-finite value is refused where it enters, by the key that set it
@@ -162,8 +167,10 @@ def test_readme_config_block_loads_to_the_defaults(tmp_path):
     ("[protocol]\npower_dbw = 4000\n", "4000.0 dBW"),
     ("[protocol]\npower_dbw = inf\n", "inf dBW"),
     ("[protocol]\npower_dbw = nan\n", "nan dBW"),
-    ("[geometry]\nrelay = 0, 0, 0\n", "uav_cj geometry.*distance"),
-    ("[geometry]\neavesdropper = 10, 0, 0\n", "uav_cj geometry.*distance"),
+    # so does a check across objects
+    ("[geometry]\nrelay = 0, 0, 0\n", r"\[geometry\] relay: uav_cj geometry.*distance"),
+    ("[geometry]\neavesdropper = 10, 0, 0\n",
+     r"\[geometry\] eavesdropper: uav_cj geometry.*distance"),
     ("no section header", "malformed"),
     # [DEFAULT] keys would be dropped, or copied into the other sections
     ("[DEFAULT]\nseed = 5\nframes = 7\n", "DEFAULT.*: frames, seed"),
@@ -215,9 +222,9 @@ def test_flags_win_over_the_file(tmp_path):
      "30,b,15", "--truncation = 'b' is not"),
     # argparse once refused the upper-case spelling that the file accepts
     ("--baseline", "UAV_CJ", "[mode]\nbaseline = UAV_CJ\n", "hovercraft",
-     "baseline must be one of"),
+     "--baseline: baseline must be one of"),
     ("--baseline", "ground_relay", "[mode]\nbaseline = ground_relay\n", "",
-     "baseline must be one of"),
+     "--baseline: baseline must be one of"),
     # a dataclass error names the flag that set the value
     ("--seed", "7", "[plan]\nseed = 7\n", "-1",
      "--seed: seed must be a 64-bit unsigned integer, got -1"),
@@ -225,8 +232,11 @@ def test_flags_win_over_the_file(tmp_path):
      "--frames: frames must be >= 1, got -5"),
     ("--truncation", "30,20,15", "[truncation]\nd = 30\nr = 20\nq = 15\n",
      "0,5,5", "--truncation: truncation orders must be >= 1"),
+    ("--baseline", "uav_no_cj", "[mode]\nbaseline = uav_no_cj\n", "hovercraft",
+     "--baseline: baseline must be one of ('uav_cj', 'uav_no_cj', "
+     "'ground_relay'), got 'hovercraft'"),
 ], ids=["seed", "frames", "truncation", "baseline-upper", "baseline",
-        "seed-range", "frames-range", "truncation-range"])
+        "seed-range", "frames-range", "truncation-range", "baseline-range"])
 def test_each_flag_is_its_config_key(tmp_path, monkeypatch, capsys, flag,
                                      value, body, bad, error):
     seen = []
@@ -546,7 +556,8 @@ def test_baseline_override_checks_its_geometry(tmp_path):
     path = tmp_path / "exp.ini"
     path.write_text("[geometry]\nrelay = 0, 0, 1.5\n")
     cfgfile.load_config(str(path))
-    with pytest.raises(ConfigError, match="ground_relay geometry.*distance"):
+    with pytest.raises(ConfigError, match=r"\[geometry\] relay, --baseline: "
+                       "ground_relay geometry.*distance"):
         cfgfile.load_config(str(path), {("mode", "baseline"):
                                         BASELINE_GROUND_RELAY})
     assert run(["sweep", "power", "--config", str(path),
@@ -593,6 +604,49 @@ def test_large_temporaries_reuse_the_heap_after_a_run(tmp_path):
     plan = mc.SimulationPlan(frames=2 * mc.BLOCK_FRAMES, seed=47)
     assert _minor_faults(lambda: opt.estimate_asr_allocation_policy(
         cfg.protocol, far, plan), 1) < 400
+
+
+def _python(args, **env):
+    """Run a fresh interpreter on the package source. Its environment is
+    built here: this process has imported the package, which set
+    OPENBLAS_NUM_THREADS, and a child would inherit that."""
+    child_env = {k: v for k, v in os.environ.items()
+                 if k != "OPENBLAS_NUM_THREADS"}
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    child_env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, child_env.get("PYTHONPATH"))))
+    child_env.update(env)
+    return subprocess.run([sys.executable, *args], env=child_env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts the entries of /proc/self/task")
+def test_a_fresh_process_starts_one_thread():
+    # numpy alone starts nproc - 1 OpenBLAS workers that the package never
+    # gives work
+    out = _python(["-c", "import os, secrelay, numpy; "
+                   "print(len(os.listdir('/proc/self/task')), "
+                   "os.environ.get('OPENBLAS_NUM_THREADS'))"])
+    assert out.split() == ["1", "1"]
+
+
+def test_a_thread_count_the_caller_set_is_kept():
+    out = _python(["-c", "import os, secrelay; "
+                   "print(os.environ['OPENBLAS_NUM_THREADS'])"],
+                  OPENBLAS_NUM_THREADS="2")
+    assert out.split() == ["2"]
+
+
+def test_outputs_do_not_depend_on_the_thread_count(tmp_path):
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        _python(["-m", "secrelay.cli", "sweep", "power", "--frames", "8192",
+                 "--out", str(out)], OPENBLAS_NUM_THREADS=threads)
+        written.append({path.name: path.read_bytes()
+                        for path in sorted(out.iterdir())})
+    assert written[0] and written[0] == written[1]
 
 
 def test_config_file_drives_the_run(tmp_path):

@@ -114,6 +114,18 @@ def test_estimators_reject_non_finite_sinr(estimator, power, noise, bad):
             estimator(cfg, LINKS, mc.SimulationPlan(frames=1000, seed=0))
 
 
+def test_refusal_counts_every_frame_whose_sinr_sum_is_not_finite():
+    big = np.finfo(float).max
+    # frame 0: both finite, their sum overflows; 2: inf; 4: NaN
+    gamma_m = np.array([big, big, 1.0, 0.0, np.nan])
+    gamma_e = np.array([big, 0.0, np.inf, 0.0, 1.0])
+    # the totals overflow, but no frame's sum does
+    wide = np.full(4, big / 2)
+    with np.errstate(over="ignore"):
+        assert mc._nonfinite_sum(gamma_m, gamma_e) == 3
+        assert mc._nonfinite_sum(wide, wide * 0.5) == 0
+
+
 @pytest.mark.parametrize("estimator", [opt.estimate_asr_allocation_policy,
                                        opt.allocation_policy_fallback_share])
 def test_policy_refuses_overflowed_constants_without_warning(estimator):

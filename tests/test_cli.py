@@ -142,9 +142,11 @@ def test_readme_config_block_loads_to_the_defaults(tmp_path):
     # a node error names the key it came from
     ("[geometry]\neavesdropper = 2 0 -1\n", "eavesdropper: node altitude must be >= 0"),
     ("[mode]\nresidual_epsilon = maybe\n", "on/off"),
+    ("[mode]\nbaseline = hovercraft\n", "baseline"),
     ("[mode]\nbaseline = hovercraft\n",
      r"\[mode\] baseline: baseline must be one of"),
     ("[plan]\nframes = -5\n", "frames"),
+    ("[protocol]\nnoise_power = 0\n", "noise_power must be > 0"),
     ("[protocol]\nnoise_power = 0\n",
      r"\[protocol\] noise_power: noise_power must be > 0"),
     ("[protocol]\nnoise_power = nan\n", "noise_power must be >= 0, got nan"),
@@ -167,6 +169,8 @@ def test_readme_config_block_loads_to_the_defaults(tmp_path):
     ("[protocol]\npower_dbw = 4000\n", "4000.0 dBW"),
     ("[protocol]\npower_dbw = inf\n", "inf dBW"),
     ("[protocol]\npower_dbw = nan\n", "nan dBW"),
+    ("[geometry]\nrelay = 0, 0, 0\n", "uav_cj geometry.*distance"),
+    ("[geometry]\neavesdropper = 10, 0, 0\n", "uav_cj geometry.*distance"),
     # so does a check across objects
     ("[geometry]\nrelay = 0, 0, 0\n", r"\[geometry\] relay: uav_cj geometry.*distance"),
     ("[geometry]\neavesdropper = 10, 0, 0\n",

@@ -11,12 +11,11 @@ import os
 
 # One compute thread. Loading numpy starts OpenBLAS, which starts nproc - 1
 # worker threads that spin in sched_yield for about 0.1 s before they
-# sleep, and the package never gives them work: its BLAS calls are a dot of
-# at most 8192 elements (OpenBLAS runs ddot on one thread below 10000) and
-# a 32 x 32 eigenproblem. On 2 cores the spin was half the CPU time of a
-# `sweep power` run (0.06 s against 0.03 s). This line runs before any
-# submodule imports numpy; a value the caller has set wins, and no output
-# depends on it.
+# sleep, and the package never gives them work: its only BLAS call is a dot
+# of at most 8192 elements (OpenBLAS runs ddot on one thread below 10000).
+# On 2 cores the spin was half the CPU time of a `sweep power` run (0.06 s
+# against 0.03 s). This line runs before any submodule imports numpy; a
+# value the caller has set wins, and no output depends on it.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .analytic import (

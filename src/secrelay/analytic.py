@@ -36,6 +36,12 @@ from .protocol import ProtocolConfig, require_noise, sinr_terms
 _NEG_INF = float("-inf")
 
 
+class ClosedFormUndefinedError(ValueError):
+    """The closed form does not apply at this input: a power split at 0 or
+    1, no jamming power where the bound needs it, or Rician fading on an
+    eavesdropper ground link. The CLI writes such a series cell as nan."""
+
+
 @dataclass(frozen=True)
 class SeriesAuxiliaries:
     """Constants of the eavesdropper-branch series, fixed by (config, links).
@@ -185,7 +191,7 @@ def _bessel_inner_logsums(
 def _require_interior_split(cfg: ProtocolConfig) -> None:
     # beta at either end starves the relay of signal or of harvested power
     if not 0.0 < cfg.power_split < 1.0:
-        raise ValueError(
+        raise ClosedFormUndefinedError(
             f"power_split must lie strictly inside (0, 1), got {cfg.power_split}"
         )
 
@@ -266,7 +272,7 @@ def _require_rayleigh_ground_links(links: LinkSet, metric: str) -> None:
     for name in ("ae", "be"):
         k_factor = getattr(links, name).k_factor
         if k_factor != 0.0:
-            raise ValueError(
+            raise ClosedFormUndefinedError(
                 f"{metric} assumes Rayleigh fading on link {name}, "
                 f"got K_{name} = {k_factor}"
             )
@@ -365,7 +371,8 @@ def mean_gamma_eve_phase1(cfg: ProtocolConfig, links: LinkSet) -> float:
     _require_rayleigh_ground_links(links, "mean_gamma_eve_phase1")
     p_b = cfg.jamming_power
     if p_b == 0.0:
-        raise ValueError("mean_gamma_eve_phase1 needs active jamming (allocation < 1)")
+        raise ClosedFormUndefinedError(
+            "mean_gamma_eve_phase1 needs active jamming (allocation < 1)")
     x = cfg.noise_power / (p_b * links.be.large_scale_gain)
     ratio = ((cfg.source_power / p_b)
              * (links.ae.large_scale_gain / links.be.large_scale_gain))
@@ -391,7 +398,8 @@ def asr_lower_bound(
     require_noise(cfg)
     _require_interior_split(cfg)
     if cfg.jamming_power == 0.0:
-        raise ValueError("asr_lower_bound needs active jamming (allocation < 1)")
+        raise ClosedFormUndefinedError(
+            "asr_lower_bound needs active jamming (allocation < 1)")
     t1 = _log_main_sinr_proxy(cfg, links, orders.R, scale_corrected)
     t2 = _mean_eve_sinr_proxy(cfg, links, scale_corrected)
     if t1 > 35.0:

@@ -94,12 +94,16 @@ def _write_report(path: Path, report: dict) -> None:
         handle.write("\n")
 
 
-def _guarded(fn, *args):
-    """Analytic value where defined, else nan (e.g. no jamming power)."""
+def _guarded(series: str, fn, *args):
+    """fn(*args), the value of the named series, or nan where its closed form
+    does not apply (the refusals the README lists). Any other refusal of
+    the input is a configuration error that names the series."""
     try:
         return fn(*args)
-    except ValueError:
+    except analytic.ClosedFormUndefinedError:
         return float("nan")
+    except ValueError as exc:
+        raise ConfigError(f"{series}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -118,11 +122,13 @@ def cmd_validate(cfg: ExperimentConfig, metric: str, powers: tuple[float, ...],
             cfg_p = replace(protocol, total_power=dbw_to_watts(p_dbw))
             if metric == "cp":
                 series = _guarded(
+                    "connection_probability",
                     lambda: analytic.connection_probability(
                         cfg_p, links, cfg.orders).clamped)
                 est = mc.estimate_cp(cfg_p, links, cfg.plan)
             else:
                 series = _guarded(
+                    "secrecy_outage_probability",
                     lambda: analytic.secrecy_outage_probability(
                         cfg_p, links, cfg.orders).clamped)
                 est = mc.estimate_sop(cfg_p, links, cfg.plan)
@@ -139,7 +145,8 @@ def cmd_validate(cfg: ExperimentConfig, metric: str, powers: tuple[float, ...],
         gaps = []
         for r_order in ASR_R_GRID:
             orders_r = replace(cfg.orders, R=r_order)
-            bound = _guarded(analytic.asr_lower_bound, protocol, links, orders_r)
+            bound = _guarded("asr_lower_bound", analytic.asr_lower_bound,
+                             protocol, links, orders_r)
             # no simulated rate leaves the relative gap undefined; nan fails
             rel_gap = (est.mean - bound) / est.mean if est.mean else float("nan")
             gaps.append(rel_gap)
@@ -190,13 +197,16 @@ def _sweep_power(cfg: ExperimentConfig, powers: tuple[float, ...]):
         asr = mc.estimate_asr(cfg_p, links, cfg.plan)
         rows.append([
             p_dbw,
-            _guarded(lambda: analytic.connection_probability(
-                cfg_p, links, cfg.orders).clamped),
+            _guarded("connection_probability",
+                     lambda: analytic.connection_probability(
+                         cfg_p, links, cfg.orders).clamped),
             cp.mean, cp.std_error,
-            _guarded(lambda: analytic.secrecy_outage_probability(
-                cfg_p, links, cfg.orders).clamped),
+            _guarded("secrecy_outage_probability",
+                     lambda: analytic.secrecy_outage_probability(
+                         cfg_p, links, cfg.orders).clamped),
             sop.mean, sop.std_error,
-            _guarded(analytic.asr_lower_bound, cfg_p, links, cfg.orders),
+            _guarded("asr_lower_bound", analytic.asr_lower_bound, cfg_p,
+                     links, cfg.orders),
             asr.mean, asr.std_error,
             cfg.plan.frames, cfg.plan.seed,
         ])
@@ -216,7 +226,8 @@ def _sweep_lambda_beta(cfg: ExperimentConfig):
                                power_split=float(split))
             rows.append([
                 allocation, split,
-                _guarded(analytic.asr_lower_bound, cfg_cell, links, cfg.orders),
+                _guarded("asr_lower_bound", analytic.asr_lower_bound,
+                         cfg_cell, links, cfg.orders),
                 result.surface[i, j], result.se_surface[i, j],
                 cfg.plan.frames, cfg.plan.seed,
             ])

@@ -146,9 +146,44 @@ def log_series_weight(order: int, idx) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # fixed-panel Gauss-Legendre quadrature (reference integrals)
 
+def _legendre(n: int, x: float) -> tuple[float, float]:
+    """P_n(x) and its derivative, by the three-term recurrence; |x| < 1."""
+    p0, p1 = 1.0, x
+    for j in range(1, n):
+        p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
 @functools.lru_cache(maxsize=None)
 def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
+    """Ascending nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Each root of P_n in [0, 1) comes from Newton's method on the recurrence,
+    started at Tricomi's guess cos(pi (k - 1/4) / (n + 1/2)); the middle root
+    of odd n is 0 exactly. The weights are 2 / ((1 - x^2) P_n'(x)^2), and the
+    negative half mirrors the positive one.
+    """
+    if n < 1:
+        raise ValueError(f"a Gauss-Legendre rule needs n >= 1 points, got {n}")
+    roots, weights = [], []
+    for k in range(1, (n + 1) // 2 + 1):
+        x = 0.0 if 2 * k == n + 1 else math.cos(math.pi * (k - 0.25) / (n + 0.5))
+        for _ in range(100):
+            p, dp = _legendre(n, x)
+            step = p / dp
+            x -= step
+            # convergence is quadratic, so a step this small leaves x
+            # within rounding of the root
+            if abs(step) <= 4.0 * math.ulp(1.0):
+                break
+        else:
+            raise RuntimeError(f"Gauss-Legendre node {k} of {n} failed to converge")
+        dp = _legendre(n, x)[1]
+        roots.append(x)
+        weights.append(2.0 / ((1.0 - x * x) * dp * dp))
+    half = n // 2
+    return (np.array([-x for x in roots[:half]] + roots[::-1]),
+            np.array(weights[:half] + weights[::-1]))
 
 
 def panel_quadrature(f, edges, points: int = 32) -> float:
@@ -209,7 +244,9 @@ def _bessel_i0_series(x) -> np.ndarray:
     k > x/2 its terms only shrink, so once a term is at most 1e-17 of its
     total, under half an ulp, no later term moves a bit: the sum stops when
     that holds for every element, and an element that got there early keeps
-    its bits through the terms it takes while the others converge.
+    its bits through the terms it takes while the others converge. The
+    ratio of term to total grows with the argument, so the element with the
+    largest argument converges last: it is tested alone before the array is.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x > _LOG_HUGE):
@@ -217,12 +254,16 @@ def _bessel_i0_series(x) -> np.ndarray:
     half = 0.5 * x
     term = np.ones_like(half)
     total = term.copy()
+    if total.size == 0:
+        return total
     q = half * half
-    top = half.max(initial=0.0)
+    last = int(np.argmax(half))
+    top = half.item(last)
     for k in range(1, 20000):
         term *= q / (k * k)
         total += term
-        if k > top and np.all(term <= 1e-17 * total):
+        if (k > top and term.item(last) <= 1e-17 * total.item(last)
+                and np.all(term <= 1e-17 * total)):
             return total
     raise RuntimeError("bessel_i series failed to converge")
 

@@ -217,7 +217,7 @@ def test_connection_probability_monotone_in_rate():
 @pytest.mark.parametrize("beta", [0.0, 1.0])
 def test_connection_probability_rejects_degenerate_split(beta):
     cfg = pr.ProtocolConfig(total_power=100.0, power_split=beta)
-    with pytest.raises(ValueError, match="power_split"):
+    with pytest.raises(an.ClosedFormUndefinedError, match="power_split"):
         an.connection_probability(cfg, LINKS)
 
 
@@ -728,7 +728,7 @@ def test_mean_gamma_eve_phase1_matches_monte_carlo():
 
 
 def test_mean_gamma_eve_phase1_rejects_full_allocation():
-    with pytest.raises(ValueError, match="jamming"):
+    with pytest.raises(an.ClosedFormUndefinedError, match="jamming"):
         an.mean_gamma_eve_phase1(cfg_at(20, lam=1.0), LINKS)
 
 
@@ -746,9 +746,11 @@ def test_eavesdropper_closed_forms_reject_rician_ground_links(metric):
                             eavesdropper=geo.NodePosition(8.0, 1.0, 1.0),
                             relay=GEOM.relay), ENV)
     assert raised.be.k_factor == pytest.approx(3.4095, abs=1e-4)
-    with pytest.raises(ValueError, match=r"link ae, got K_ae = 1\.707"):
+    with pytest.raises(an.ClosedFormUndefinedError,
+                       match=r"link ae, got K_ae = 1\.707"):
         metric(cfg_at(20), raised)
-    with pytest.raises(ValueError, match="link be, got K_be = 0.5"):
+    with pytest.raises(an.ClosedFormUndefinedError,
+                       match="link be, got K_be = 0.5"):
         metric(cfg_at(20), links_with(be=(0.5, 1.0)))
 
 
@@ -842,10 +844,10 @@ def test_asr_lower_bound_vanishing_source():
 
 
 def test_asr_lower_bound_guards():
-    with pytest.raises(ValueError, match="power_split"):
+    with pytest.raises(an.ClosedFormUndefinedError, match="power_split"):
         an.asr_lower_bound(pr.ProtocolConfig(total_power=100.0, power_split=1.0),
                            LINKS)
-    with pytest.raises(ValueError, match="jamming"):
+    with pytest.raises(an.ClosedFormUndefinedError, match="jamming"):
         an.asr_lower_bound(cfg_at(20, lam=1.0), LINKS)
 
 

@@ -404,6 +404,21 @@ def test_raised_eavesdropper_leaves_its_series_cells_undefined(tmp_path):
                ("cp_series", "cp_mc", "sop_mc", "asr_mc"))
 
 
+def test_any_other_series_refusal_is_a_configuration_error(tmp_path,
+                                                           monkeypatch, capsys):
+    # only the refusals the README lists read nan; any other ValueError of a
+    # series call once became a silent nan cell
+    def refuses(*args):
+        raise ValueError("no such order")
+
+    monkeypatch.setattr(an, "asr_lower_bound", refuses)
+    code = run(["sweep", "power", "--frames", "2000", "--out", str(tmp_path),
+                "--powers", "20"])
+    assert code == 2
+    assert "asr_lower_bound: no such order" in capsys.readouterr().err
+    assert not (tmp_path / "sweep_power.csv").exists()
+
+
 def test_lambda_beta_sweep_emits_full_surface(tmp_path, capsys):
     code = run(["sweep", "lambda_beta", "--frames", "500",
                 "--truncation", "25,2,25", "--out", str(tmp_path)])
@@ -466,7 +481,7 @@ def test_altitude_sweep_builds_and_transforms_each_link_set_once(tmp_path,
     ([], None),
     # exact errors at order 40; the exact references run on whole grids
     (["--truncation", "40,40,40"],
-     [0.11307226431666995, 0.022188202017856155, 0.2136515674423574]),
+     [0.11307226431666995, 0.022188202017856155, 0.21365156744235764]),
 ], ids=["default", "40,40,40"])
 def test_specfun_check_passes(tmp_path, flags, pinned):
     code = run(["specfun-check", "--out", str(tmp_path), *flags])
@@ -651,6 +666,31 @@ def test_outputs_do_not_depend_on_the_thread_count(tmp_path):
         written.append({path.name: path.read_bytes()
                         for path in sorted(out.iterdir())})
     assert written[0] and written[0] == written[1]
+
+
+def test_specfun_check_imports_no_module(tmp_path):
+    # the quadrature rule is built in specfun: no numpy.polynomial import
+    # (nine modules) and no eigensolve on the command's first quadrature
+    out = _python(["-c", "\n".join([
+        "import sys",
+        "from secrelay import cli",
+        "command = cli.cmd_specfun_check",
+        "def traced(*args):",
+        "    before = set(sys.modules)",
+        "    code = command(*args)",
+        "    print(sorted(set(sys.modules) - before))",
+        "    return code",
+        "cli.cmd_specfun_check = traced",
+        # built on first use, not at import
+        "assert cli.sf._gl_rule.cache_info().currsize == 0",
+        f"assert cli.main(['specfun-check', '--out', {str(tmp_path)!r}]) == 0",
+        "print('numpy.polynomial' in sys.modules)",
+    ])])
+    assert out.splitlines()[-2:] == ["[]", "False"]
+    src = pathlib.Path(cli.__file__).resolve().parent
+    assert [path.name for path in src.rglob("*.py")
+            if re.search(r"\b(np|numpy)\.polynomial",
+                         path.read_text(encoding="utf-8"))] == []
 
 
 def test_config_file_drives_the_run(tmp_path):

@@ -151,6 +151,8 @@ def test_bessel_i_array_matches_scalar_loop():
     grid = sf.bessel_i(xs[::-1].reshape(4, 351))
     assert grid.tolist() == np.reshape(want[::-1], (4, 351)).tolist()
     assert [sf.bessel_i(float(x)) for x in xs[::50]] == want[::50]
+    assert sf.bessel_i(np.array(xs[-1])) == want[-1]
+    assert sf.bessel_i(np.empty((0, 3))).shape == (0, 3)
     with pytest.raises(OverflowError):
         sf.bessel_i(np.array([1.0, sf._LOG_HUGE * (1.0 + 1e-15)]))
 
@@ -590,6 +592,56 @@ def test_whittaker_log_form_matches_reference():
         log_m = float(mp.log(mp.whitm(-(r + 0.5), 0, x)))
         want = log_m + 0.5 * x - 0.5 * math.log(x)
         assert log_f11(r, x) == pytest.approx(want, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Legendre rule behind the quadrature references
+
+
+def _mp_gauss_legendre(mp, n, nodes):
+    # a few Newton steps at 40 digits from each double-precision node
+    def legendre(x):
+        p0, p1 = mp.mpf(1), x
+        for j in range(1, n):
+            p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+        return p1, n * (x * p1 - p0) / (x * x - 1)
+
+    xs, ws = [], []
+    for node in nodes:
+        x = mp.mpf(float(node))
+        for _ in range(4):
+            p, dp = legendre(x)
+            x -= p / dp
+        dp = legendre(x)[1]
+        xs.append(x)
+        ws.append(2 / ((1 - x * x) * dp * dp))
+    return xs, ws
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 32, 64])
+def test_gauss_legendre_rule(n):
+    mp = pytest.importorskip("mpmath")
+    x, w = sf._gl_rule(n)
+    assert x.shape == w.shape == (n,)
+    with mp.workdps(40):
+        xs, ws = _mp_gauss_legendre(mp, n, x)
+        assert max(abs(float(a - b)) for a, b in zip(x, xs)) <= 2.3e-16
+        assert max(abs(float((a - b) / b)) for a, b in zip(w, ws)) <= 2e-13
+    assert np.all(np.diff(x) > 0) and -1.0 < x[0] and x[-1] < 1.0
+    assert x.tolist() == (-x[::-1]).tolist()
+    assert np.all(w > 0) and w.tolist() == w[::-1].tolist()
+    assert math.fsum(w) == pytest.approx(2.0, rel=0, abs=4 * math.ulp(2.0))
+    # exact for every polynomial of degree <= 2n - 1
+    assert math.fsum(w * x ** (2 * n - 2)) == pytest.approx(2.0 / (2 * n - 1),
+                                                          rel=1e-13)
+    if n % 2:
+        assert x[n // 2] == 0.0
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_gauss_legendre_rule_needs_a_point(n):
+    with pytest.raises(ValueError, match="n >= 1"):
+        sf._gl_rule(n)
 
 
 # ---------------------------------------------------------------------------

@@ -34,12 +34,10 @@ class LinkModel:
     large_scale_gain: float
 
     def __post_init__(self) -> None:
-        if self.k_factor < 0:
-            raise ValueError(f"k_factor must be >= 0, got {self.k_factor}")
-        if not self.large_scale_gain > 0:
-            raise ValueError(
-                f"large_scale_gain must be positive, got {self.large_scale_gain}"
-            )
+        _require_k_factor(self.k_factor)
+        specfun._require(0 < self.large_scale_gain < math.inf,
+                         "large_scale_gain must be finite and positive",
+                         "large_scale_gain", self.large_scale_gain)
 
 
 @dataclass(frozen=True)
@@ -57,14 +55,18 @@ class LinkSet:
         return (self.au, self.ub, self.ue, self.ae, self.be)
 
 
+def _require_k_factor(k_factor: float) -> None:
+    specfun._require(0 <= k_factor < math.inf, "k_factor must be finite and >= 0",
+                     "k_factor", k_factor)
+
+
 def amplitude_params(k_factor: float) -> tuple[float, float]:
     """LOS amplitude mu and per-quadrature scatter deviation sigma.
 
     mu^2 + 2 sigma^2 = 1, so (mu + sigma*g1)^2 + (sigma*g2)^2 with independent
     standard normal g1, g2 is a unit-mean gain with Rice factor k_factor.
     """
-    if k_factor < 0:
-        raise ValueError(f"k_factor must be >= 0, got {k_factor}")
+    _require_k_factor(k_factor)
     mu = math.sqrt(k_factor / (k_factor + 1.0))
     sigma = math.sqrt(0.5 / (k_factor + 1.0))
     return mu, sigma
@@ -77,14 +79,6 @@ def rician_power_gain(mu, sigma, g1, g2):
     return amp * amp + (sigma * g2) ** 2
 
 
-def _validated_gains(x) -> tuple[bool, np.ndarray]:
-    scalar = np.isscalar(x)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(xs)) or np.any(xs < 0):
-        raise ValueError("gains must be finite and >= 0")
-    return scalar, xs
-
-
 def squared_rician_pdf(x, k_factor: float):
     """Density of a unit-mean squared-Rician gain at x (scalar or array).
 
@@ -92,9 +86,9 @@ def squared_rician_pdf(x, k_factor: float):
     -(sqrt(K) - sqrt((K+1)x))^2 up to the subexponential I0 prefactor, so the
     density stays finite even where either factor alone would overflow.
     """
-    if k_factor < 0:
-        raise ValueError(f"k_factor must be >= 0, got {k_factor}")
-    scalar, xs = _validated_gains(x)
+    _require_k_factor(k_factor)
+    xs = np.asarray(x, dtype=float).ravel()
+    specfun._require(np.isfinite(xs) & (xs >= 0), "gains must be finite and >= 0", "x", xs)
     kp1 = k_factor + 1.0
     log_pref = math.log(kp1) - k_factor
     z = 2.0 * np.sqrt(k_factor * kp1 * xs)
@@ -107,7 +101,7 @@ def squared_rician_pdf(x, k_factor: float):
     tail = 1.0 + u * (1.0 + u * (4.5 + u * (37.5 + u * 459.375)))
     log_i0[~near] = far - 0.5 * np.log(2.0 * math.pi * far) + np.log(tail)
     out = np.exp(log_pref - kp1 * xs + log_i0)
-    return float(out[0]) if scalar else out
+    return specfun._result(out, x)
 
 
 def squared_rician_cdf(x, k_factor: float):
@@ -116,13 +110,11 @@ def squared_rician_cdf(x, k_factor: float):
     Uses the exact Marcum evaluator, which bounds the usable Rice factor at
     k_factor <= 700 (far beyond any elevation-derived value).
     """
-    if k_factor < 0:
-        raise ValueError(f"k_factor must be >= 0, got {k_factor}")
-    scalar, xs = _validated_gains(x)
+    _require_k_factor(k_factor)
+    xs = np.asarray(x, dtype=float).ravel()
+    specfun._require(np.isfinite(xs) & (xs >= 0), "gains must be finite and >= 0", "x", xs)
     b = np.sqrt(2.0 * (k_factor + 1.0) * xs)
-    q = np.atleast_1d(specfun.marcum_q1(math.sqrt(2.0 * k_factor), b))
-    out = 1.0 - q
-    return float(out[0]) if scalar else out
+    return specfun._result(1.0 - specfun.marcum_q1(math.sqrt(2.0 * k_factor), b), x)
 
 
 def _link(a: NodePosition, b: NodePosition, env: Environment) -> LinkModel:

@@ -141,7 +141,11 @@ def path_loss_exponent(theta: float, env: Environment) -> float:
 
 
 def path_loss_gain(d: float, alpha: float) -> float:
-    """Large-scale power gain d**(-alpha). Rejects non-positive distances."""
+    """Large-scale power gain d**(-alpha); refuses d <= 0 and a gain past double range."""
     if d <= 0.0:
         raise ValueError(f"distance must be positive, got {d}")
-    return d ** (-alpha)
+    try:
+        return d ** (-alpha)
+    except OverflowError:
+        raise ValueError(f"distance {d} is too short: its path-loss gain "
+                         f"d**(-{alpha}) exceeds double range") from None

@@ -75,6 +75,9 @@ class SimulationPlan:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("frames", "seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.frames < 1:
             raise ValueError(f"frames must be >= 1, got {self.frames}")
         if not 0 <= self.seed < 2 ** 64:

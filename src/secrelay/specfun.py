@@ -9,7 +9,7 @@ Conventions: ``mode="exact"`` selects the reference evaluator and
 ``mode="truncated"`` (``mode="series"`` for the log-moment) the finite form
 whose depth is set by a truncation order. Arguments are scalars unless a
 docstring says otherwise; a function that takes an array returns a float for
-a scalar argument and an array of the argument's shape otherwise.
+a scalar or 0-d argument and an array of the argument's shape otherwise.
 """
 
 from __future__ import annotations
@@ -48,8 +48,10 @@ class TruncationOrders:
     Q: int = 25
 
     def __post_init__(self) -> None:
-        if min(self.D, self.R, self.Q) < 1:
-            raise ValueError(f"truncation orders must be >= 1, got {self}")
+        for name in ("D", "R", "Q"):
+            value = getattr(self, name)
+            _require(isinstance(value, (int, np.integer)) and value >= 1,
+                     "truncation orders must be >= 1 and integers", name, value)
 
 
 # ---------------------------------------------------------------------------
@@ -81,18 +83,15 @@ def logsumexp(log_terms) -> float:
         return -math.inf
     if np.isnan(log_terms).any():
         raise ValueError("NaN log term in logsumexp")
-    m = float(np.max(log_terms))
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(float(np.sum(np.exp(log_terms - m))))
+    return float(row_logsumexp(log_terms.reshape(1, -1))[0])
 
 
 def row_logsumexp(terms: np.ndarray) -> np.ndarray:
     """ln sum_j exp(terms[i, j]) for every row i; an all -inf row gives -inf.
 
-    Each row is reduced as logsumexp reduces a 1-D array: the same shift,
-    the same pairwise sum over a row of the same length, math.log of the
-    total (numpy's vectorized log may differ from libm in the last bit).
+    Each row is shifted by its largest term, so it never overflows. The log
+    of each total is math.log's: numpy's vectorized log may differ from libm
+    in the last bit.
     """
     m = np.max(terms, axis=1)
     shift = np.where(m == -math.inf, 0.0, m)
@@ -108,11 +107,14 @@ def _row_blocks(rows: np.ndarray, n_terms: int) -> list[np.ndarray]:
 
 
 def _require(ok, requirement: str, name: str, value) -> None:
-    """Raise ValueError naming the first element of value where ok is False."""
+    """Raise ValueError naming the first element of value where ok is False;
+    a passing scalar check (ok is True) makes no array."""
+    if ok is True:
+        return
     ok = np.asarray(ok)
     if not ok.all():
-        bad = np.asarray(value, dtype=float)[~ok].flat[0]
-        raise ValueError(f"{requirement}, got {name}={float(bad)}")
+        bad = np.asarray(value)[~ok].flat[0]
+        raise ValueError(f"{requirement}, got {name}={bad}")
 
 
 def _scalar(name: str, value):
@@ -127,6 +129,13 @@ def _scalar(name: str, value):
     return value.item() if isinstance(value, np.ndarray) else value
 
 
+def _result(flat: np.ndarray, arg):
+    """A function's values at the elements of arg, in flat order, as its
+    result: a float for a scalar or 0-d arg, else an array of arg's shape."""
+    value = flat.reshape(np.shape(arg))
+    return float(value) if value.ndim == 0 else value
+
+
 def log_series_weight(order: int, idx) -> np.ndarray:
     """ln of the truncation weight Gamma(order+idx) * order^(1-2 idx) / Gamma(order-idx+1).
 
@@ -134,11 +143,9 @@ def log_series_weight(order: int, idx) -> np.ndarray:
     to 1 for idx << order; it is what ties the finite series to the exact
     transcendental as the order grows.
     """
-    if order < 1:
-        raise ValueError(f"series order must be >= 1, got {order}")
+    _require(order >= 1, "series order must be >= 1", "order", order)
     idx = np.asarray(idx)
-    if np.any(idx < 0) or np.any(idx > order):
-        raise ValueError("series index outside [0, order]")
+    _require((idx >= 0) & (idx <= order), "series index outside [0, order]", "idx", idx)
     t = lgamma_int(2 * order + 1)
     return t[order + idx] + (1 - 2 * idx) * math.log(order) - t[order - idx + 1]
 
@@ -163,8 +170,7 @@ def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     of odd n is 0 exactly. The weights are 2 / ((1 - x^2) P_n'(x)^2), and the
     negative half mirrors the positive one.
     """
-    if n < 1:
-        raise ValueError(f"a Gauss-Legendre rule needs n >= 1 points, got {n}")
+    _require(n >= 1, "a Gauss-Legendre rule needs n >= 1 points", "n", n)
     roots, weights = [], []
     for k in range(1, (n + 1) // 2 + 1):
         x = 0.0 if 2 * k == n + 1 else math.cos(math.pi * (k - 0.25) / (n + 0.5))
@@ -223,22 +229,23 @@ def bessel_i(x, mode: str = "exact", order: int | None = None):
     ``order`` that the metric series inherit their weights from, for finite
     x only; every element keeps the bits of its own scalar call.
     """
+    xs = np.asarray(x, dtype=float).ravel()
     # x >= 0 is False at NaN, so NaN fails too
-    _require(np.asarray(x) >= 0, "bessel_i requires x >= 0", "x", x)
+    _require(xs >= 0, "bessel_i requires x >= 0", "x", xs)
     if mode == "exact":
-        value = _bessel_i0_series(x)
+        value = _bessel_i0_series(xs)
     elif mode == "truncated":
         if order is None:
             raise ValueError("truncated mode needs an order")
-        _require(np.isfinite(x), "truncated bessel_i requires finite x", "x", x)
-        value = _bessel_i0_truncated(np.asarray(x, dtype=float), order)
+        _require(np.isfinite(xs), "truncated bessel_i requires finite x", "x", xs)
+        value = _bessel_i0_truncated(xs, order)
     else:
         raise ValueError(f"unknown bessel_i mode {mode!r}")
-    return float(value) if np.ndim(x) == 0 else value
+    return _result(value, x)
 
 
-def _bessel_i0_series(x) -> np.ndarray:
-    """Ascending series of I0 at every element of x >= 0.
+def _bessel_i0_series(x: np.ndarray) -> np.ndarray:
+    """Ascending series of I0 at every element of the float array x >= 0.
 
     Each element runs the operations of the scalar series loop. Past
     k > x/2 its terms only shrink, so once a term is at most 1e-17 of its
@@ -248,7 +255,6 @@ def _bessel_i0_series(x) -> np.ndarray:
     ratio of term to total grows with the argument, so the element with the
     largest argument converges last: it is tested alone before the array is.
     """
-    x = np.asarray(x, dtype=float)
     if np.any(x > _LOG_HUGE):
         raise SeriesOverflowError(f"bessel_i({x.max()}) exceeds double range")
     half = 0.5 * x
@@ -269,7 +275,7 @@ def _bessel_i0_series(x) -> np.ndarray:
 
 
 def _bessel_i0_truncated(x: np.ndarray, order: int) -> np.ndarray:
-    """Truncated I0 at every element of x, one term matrix row per element.
+    """Truncated I0 at every element of the 1-D x, one term matrix row per element.
 
     Each row holds the scalar series' terms with its arithmetic; ln(x/2) and
     the final exp are libm's, taken one element at a time. Where x/2 is 0
@@ -279,16 +285,15 @@ def _bessel_i0_truncated(x: np.ndarray, order: int) -> np.ndarray:
     r = np.arange(order + 1)
     base = log_series_weight(order, r) - 2.0 * t[r + 1]
     two_r = 2.0 * r
-    flat = x.ravel()
-    value = np.ones(flat.size)
-    for rows in _row_blocks(np.flatnonzero(0.5 * flat), r.size):
-        log_half = np.array([math.log(0.5 * v) for v in flat[rows].tolist()])
+    value = np.ones(x.size)
+    for rows in _row_blocks(np.flatnonzero(0.5 * x), r.size):
+        log_half = np.array([math.log(0.5 * v) for v in x[rows].tolist()])
         log_values = row_logsumexp(base + two_r * log_half[:, None])
         for i, log_value in zip(rows.tolist(), log_values.tolist()):
             if log_value > _LOG_HUGE:
-                raise SeriesOverflowError(f"truncated I0({flat[i]}) exceeds double range")
+                raise SeriesOverflowError(f"truncated I0({x[i]}) exceeds double range")
             value[i] = math.exp(log_value)
-    return value.reshape(x.shape)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +329,7 @@ def log_bessel_k_sequence(nu_max: int, x: float) -> np.ndarray:
     Upward recurrence in log space: the linear recurrence overflows near
     nu ~ 50 for small arguments while the log form cannot.
     """
-    if not 0 < x < math.inf:
-        raise ValueError(f"log_bessel_k_sequence requires finite x > 0, got x={x}")
+    _require(0 < x < math.inf, "log_bessel_k_sequence requires finite x > 0", "x", x)
     out = np.empty(nu_max + 1)
     out[:2] = _log_k0_k1(x)[: nu_max + 1]
     log_x = math.log(x)
@@ -351,38 +355,38 @@ def marcum_q1(a: float, b, mode: str = "exact", order: int | None = None):
     of its own scalar call. ``a`` must be a scalar.
     """
     a = _scalar("a", a)
-    if not a >= 0:
-        raise ValueError(f"marcum_q1 requires a >= 0, got a={a}")
-    _require(np.asarray(b) >= 0, "marcum_q1 requires b >= 0", "b", b)
+    _require(a >= 0, "marcum_q1 requires a >= 0", "a", a)
+    y = np.asarray(b, dtype=float).ravel()
+    _require(y >= 0, "marcum_q1 requires b >= 0", "b", y)
     if mode == "exact":
-        return _marcum_q1_exact(a, b)
-    if mode == "truncated":
+        q = _marcum_q1_exact(a, y)
+    elif mode == "truncated":
         if order is None:
             raise ValueError("truncated mode needs an order")
         requirement = "truncated marcum_q1 requires finite a and b"
         _require(math.isfinite(a), requirement, "a", a)
-        _require(np.isfinite(b), requirement, "b", b)
-        q = _marcum_q1_truncated(a, np.asarray(b, dtype=float), order)
-        return float(q) if np.ndim(b) == 0 else q
-    raise ValueError(f"unknown marcum_q1 mode {mode!r}")
+        _require(np.isfinite(y), requirement, "b", y)
+        q = _marcum_q1_truncated(a, y, order)
+    else:
+        raise ValueError(f"unknown marcum_q1 mode {mode!r}")
+    return _result(q, b)
 
 
-def _marcum_q1_exact(a: float, b):
-    scalar = np.isscalar(b)
-    y = np.atleast_1d(np.asarray(b, dtype=float))
+def _marcum_q1_exact(a: float, b: np.ndarray) -> np.ndarray:
+    """Exact Q1(a, b) at every element of the 1-D b."""
     ha = 0.5 * a * a
     if ha > 700.0:
         raise SeriesOverflowError(
             f"marcum_q1 exact mode underflows for a^2/2 = {ha:.3g} > 700"
         )
     with np.errstate(over="ignore"):
-        hy = 0.5 * y * y
+        hy = 0.5 * b * b
     # past b ~ 1.3e154, b^2/2 overflows and Q1 is 0 to double precision
     near = ~np.isinf(hy)
-    q = np.zeros_like(y)
+    q = np.zeros_like(b)
     if np.any(near):
         q[near] = _poisson_mixture(ha, hy[near])
-    return float(q[0]) if scalar else q
+    return q
 
 
 def _poisson_mixture(ha: float, hy: np.ndarray) -> np.ndarray:
@@ -412,16 +416,15 @@ def _poisson_mixture(ha: float, hy: np.ndarray) -> np.ndarray:
 
 
 def _marcum_q1_truncated(a: float, b: np.ndarray, order: int) -> np.ndarray:
-    """Truncated Q1(a, b) at every element of b, one term matrix row per element.
+    """Truncated Q1(a, b) at every element of the 1-D b, one term matrix row per element.
 
     Each row holds the scalar series' terms, with its arithmetic in its
     order; ln b and the final exp are libm's, taken one element at a time.
     """
     t = lgamma_int(2 * order + 2)
     d_top = 0 if a == 0.0 else order
-    flat = b.ravel()
-    q = np.empty(flat.size)
-    zero = flat == 0.0
+    q = np.empty(b.size)
+    zero = b == 0.0
     for b_zero in (True, False):
         rows = np.flatnonzero(zero == b_zero)
         if rows.size == 0:
@@ -439,15 +442,15 @@ def _marcum_q1_truncated(a: float, b: np.ndarray, order: int) -> np.ndarray:
         del d, u, w_d  # at order 2000 each index array is 16 MB
         for block in _row_blocks(rows, base.size):
             with np.errstate(over="ignore"):  # b * b past 1.3e154 is inf, Q1 is 0
-                expo = -0.5 * (a * a + flat[block] * flat[block])
+                expo = -0.5 * (a * a + b[block] * b[block])
             terms = base + expo[:, None]
             if log_a_terms is not None:
                 terms += log_a_terms
             if two_u is not None:
-                log_b = np.array([math.log(v) for v in flat[block].tolist()])
+                log_b = np.array([math.log(v) for v in b[block].tolist()])
                 terms += two_u * log_b[:, None]
             q[block] = [math.exp(v) for v in row_logsumexp(terms).tolist()]
-    return q.reshape(b.shape)
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +458,7 @@ def _marcum_q1_truncated(a: float, b: np.ndarray, order: int) -> np.ndarray:
 
 def log_exp_integral_e1(x: float) -> float:
     """ln E1(x); remains finite for arguments far beyond the linear range."""
-    if not 0 < x < math.inf:
-        raise ValueError(f"log_exp_integral_e1 requires finite x > 0, got x={x}")
+    _require(0 < x < math.inf, "log_exp_integral_e1 requires finite x > 0", "x", x)
     if x <= 1.5:
         return math.log(_e1_ascending_series(x, -EULER_GAMMA - math.log(x)))
     return -x - math.log(_en_continued_fraction(1, x))
@@ -519,10 +521,8 @@ def log_moment_ncx2(lam: float, b: float, mode: str = "series", order: int = 25)
 
 @functools.lru_cache(maxsize=256)
 def _cached_log_moment(lam: float, b: float, mode: str, order: int) -> float:
-    if not 0 <= lam < math.inf:
-        raise ValueError(f"finite lam >= 0 required, got lam={lam}")
-    if not 0 <= b < math.inf:
-        raise ValueError(f"finite b >= 0 required, got b={b}")
+    _require(0 <= lam < math.inf, "finite lam >= 0 required", "lam", lam)
+    _require(0 <= b < math.inf, "finite b >= 0 required", "b", b)
     if mode == "quadrature":
         return _log_moment_quadrature(lam, b)
     if mode != "series":

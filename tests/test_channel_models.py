@@ -53,6 +53,9 @@ def test_amplitude_params_rayleigh_case():
 def test_amplitude_params_rejects_negative():
     with pytest.raises(ValueError):
         cm.amplitude_params(-0.5)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="k_factor"):
+            cm.amplitude_params(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +83,9 @@ def test_pdf_array_input_keeps_shape():
     out = cm.squared_rician_pdf(x, 5.0)
     assert out.shape == x.shape
     assert out[1, 0] == pytest.approx(0.69934522292321629, rel=1e-13)
+    # a 0-d array gives the float of the scalar call
+    zero_d = cm.squared_rician_pdf(np.array(1.0), 5.0)
+    assert type(zero_d) is float and zero_d == cm.squared_rician_pdf(1.0, 5.0)
 
 
 def test_pdf_domain_errors():
@@ -89,6 +95,9 @@ def test_pdf_domain_errors():
         cm.squared_rician_pdf(1.0, -1.0)
     with pytest.raises(ValueError):
         cm.squared_rician_pdf(math.nan, 1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="k_factor"):
+            cm.squared_rician_pdf(1.0, bad)
 
 
 @pytest.mark.parametrize("k", [0.0, 1.0, 5.0, 10.0, 15.0])
@@ -122,6 +131,17 @@ def test_cdf_array_input():
     out = cm.squared_rician_cdf(x, 5.0)
     assert out.shape == x.shape
     assert np.all(np.diff(out) > 0)
+    zero_d = cm.squared_rician_cdf(np.array(1.0), 5.0)
+    assert type(zero_d) is float and zero_d == cm.squared_rician_cdf(1.0, 5.0)
+
+
+def test_cdf_domain_errors():
+    for x in (-0.1, math.nan, math.inf, np.array([0.5, -2.0])):
+        with pytest.raises(ValueError, match="gains must be finite and >= 0"):
+            cm.squared_rician_cdf(x, 1.0)
+    for bad in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="k_factor"):
+            cm.squared_rician_cdf(1.0, bad)
 
 
 @given(
@@ -195,6 +215,12 @@ def test_link_model_validation():
         cm.LinkModel(-1.0, 0.1)
     with pytest.raises(ValueError):
         cm.LinkModel(1.0, 0.0)
+    # a NaN Rice factor once failed only inside the Monte Carlo kernel
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="k_factor"):
+            cm.LinkModel(bad, 0.1)
+    with pytest.raises(ValueError, match="large_scale_gain"):
+        cm.LinkModel(1.0, math.inf)
 
 
 def test_build_links_default_layout():

@@ -541,6 +541,8 @@ def test_config_error_exit_codes(tmp_path):
                  "[protocol]\nnoise_power = 0\n",
                  "[protocol]\nnoise_power = nan\n",
                  "[geometry]\nrelay = 0, 0, 0\n",
+                 # d ** -alpha once overflowed into a traceback and exit 1
+                 "[geometry]\nrelay = 1e-100, 0, 0\n",
                  "[geometry]\neavesdropper = 10, 0, 0\n"):
         bad.write_text(body)
         assert run(["sweep", "power", "--config", str(bad)]) == 2

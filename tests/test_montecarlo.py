@@ -61,6 +61,12 @@ def test_plan_validation():
         mc.SimulationPlan(frames=0)
     with pytest.raises(ValueError):
         mc.SimulationPlan(frames=10, seed=-1)
+    # once accepted, then refused inside numpy
+    with pytest.raises(ValueError, match="frames"):
+        mc.SimulationPlan(frames=2500.5)
+    with pytest.raises(ValueError, match="seed"):
+        mc.SimulationPlan(frames=1000, seed=1.5)
+    assert mc.SimulationPlan(frames=np.int64(10), seed=np.uint64(3)).frames == 10
 
 
 def test_estimate_validation():

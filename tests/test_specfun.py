@@ -32,9 +32,11 @@ def test_truncation_defaults():
     assert (t.D, t.R, t.Q) == (25, 25, 25)
 
 
-@pytest.mark.parametrize("bad", [dict(D=0), dict(R=0), dict(Q=-3)])
+@pytest.mark.parametrize("bad", [dict(D=0), dict(R=0), dict(Q=-3),
+                                 dict(D=2.5), dict(R=math.nan)])
 def test_truncation_rejects_nonpositive(bad):
-    with pytest.raises(ValueError):
+    (name,) = bad
+    with pytest.raises(ValueError, match=f"{name}="):
         sf.TruncationOrders(**bad)
 
 
@@ -151,7 +153,8 @@ def test_bessel_i_array_matches_scalar_loop():
     grid = sf.bessel_i(xs[::-1].reshape(4, 351))
     assert grid.tolist() == np.reshape(want[::-1], (4, 351)).tolist()
     assert [sf.bessel_i(float(x)) for x in xs[::50]] == want[::50]
-    assert sf.bessel_i(np.array(xs[-1])) == want[-1]
+    zero_d = sf.bessel_i(np.array(xs[-1]))
+    assert type(zero_d) is float and zero_d == want[-1]
     assert sf.bessel_i(np.empty((0, 3))).shape == (0, 3)
     with pytest.raises(OverflowError):
         sf.bessel_i(np.array([1.0, sf._LOG_HUGE * (1.0 + 1e-15)]))
@@ -311,6 +314,9 @@ def test_marcum_vector_argument():
     # later term is below half an ulp of its q
     for bb, v in zip(b, vec):
         assert v == sf.marcum_q1(1.5, float(bb))
+    # a 0-d array gives the float of the scalar call
+    zero_d = sf.marcum_q1(1.5, np.array(2.2))
+    assert type(zero_d) is float and zero_d == vec[2]
 
 
 def test_marcum_beyond_squarable_b_is_zero():
@@ -457,11 +463,15 @@ def test_truncated_arrays_match_scalar_calls_bit_for_bit(order, matrix_terms,
             want = [sf.marcum_q1(a, b, mode="truncated", order=order)
                     for b in grid_b.tolist()]
             assert got.tolist() == want
+            zero_d = sf.marcum_q1(a, np.array(grid_b[2]), mode="truncated", order=order)
+            assert type(zero_d) is float and zero_d == want[2]
     xs = np.concatenate(([0.0], CHECK_X[:30], [0.0, 1e-8], CHECK_X[30:], [0.0]))
     got = sf.bessel_i(xs.reshape(4, 16), mode="truncated", order=order)
     want = [sf.bessel_i(x, mode="truncated", order=order) for x in xs.tolist()]
     assert got.ravel().tolist() == want
     assert want[0] == 1.0
+    zero_d = sf.bessel_i(np.array(xs[3]), mode="truncated", order=order)
+    assert type(zero_d) is float and zero_d == want[3]
 
 
 def test_truncated_array_guards():
